@@ -25,6 +25,7 @@ from .ops import (
     default_group_count,
 )
 from .rng import CounterRng
+from .solver import DivergenceError, fixed_point_iterate
 
 EXPLICIT = "explicit-independent"
 UNROLLED = "unrolled-shared"
@@ -33,14 +34,6 @@ STRATEGIES = (EXPLICIT, UNROLLED, IMPLICIT)
 
 SHORTCUT_IDENTITY = "identity"
 SHORTCUT_CONV = "conv1x1"
-
-
-class DivergenceError(RuntimeError):
-    """An iteration produced a non-finite or runaway iterate."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
 
 
 # ---------------------------------------------------------------------------
@@ -366,40 +359,47 @@ class BlockTape:
     k_shortcut: Optional[np.ndarray]
 
 
+def _effective_kernels(p: DoubleResidualParams):
+    """(w1, w2, shortcut) kernels as the convs apply them; shortcut None if absent."""
+    ks = None if p.shortcut is None else ops.effective_kernel(p.shortcut)
+    return ops.effective_kernel(p.w1), ops.effective_kernel(p.w2), ks
+
+
+def _block_forward(
+    p: DoubleResidualParams, kernels, h: np.ndarray, x: np.ndarray, keep_tape: bool = False
+):
+    """F(h; x) on precomputed effective kernels, unchecked; (F, tape) if keep_tape."""
+    k1, k2, ks = kernels
+    r = h + x
+    c1 = ops._conv2d_core(r, k1, p.w1.bias, 1, 1)
+    xhat1, inv_std1 = ops._group_stats(c1, p.gn1)
+    g1 = xhat1 * p.gn1.scale[:, None, None] + p.gn1.shift[:, None, None]
+    a1 = np.maximum(g1, 0.0)
+    c2 = ops._conv2d_core(a1, k2, p.w2.bias, 1, 1)
+    xhat2, inv_std2 = ops._group_stats(c2, p.gn2)
+    out = xhat2 * p.gn2.scale[:, None, None] + p.gn2.shift[:, None, None]
+    if p.residual_enabled:
+        out = out + (r if ks is None else ops._conv2d_core(r, ks, p.shortcut.bias, 1, 0))
+    if not keep_tape:
+        return out
+    return out, BlockTape(r, xhat1, inv_std1, g1 > 0.0, a1, xhat2, inv_std2, k1, k2, ks)
+
+
+def _check_operands(p: DoubleResidualParams, h: np.ndarray, x: np.ndarray) -> None:
+    if h.shape != x.shape:
+        raise ShapeError(f"hidden shape {h.shape} != input shape {x.shape}")
+    ops._check_3d(x, "block input")
+    ops.check_finite(h, "block hidden state")
+    if x.shape[0] != p.channels:
+        raise ShapeError(f"input has {x.shape[0]} channels, block expects {p.channels}")
+
+
 def block_forward_tape(
     p: DoubleResidualParams, h: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, BlockTape]:
-    if h.shape != x.shape:
-        raise ShapeError(f"hidden shape {h.shape} != input shape {x.shape}")
-    r = ops.add(h, x)
-    c1 = ops.conv2d(r, p.w1, stride=1, padding=1)
-    xhat1, inv_std1 = ops._group_stats(c1, p.gn1)
-    g1 = xhat1 * p.gn1.scale[:, None, None] + p.gn1.shift[:, None, None]
-    mask1 = g1 > 0.0
-    a1 = np.where(mask1, g1, 0.0)
-    c2 = ops.conv2d(a1, p.w2, stride=1, padding=1)
-    xhat2, inv_std2 = ops._group_stats(c2, p.gn2)
-    out = xhat2 * p.gn2.scale[:, None, None] + p.gn2.shift[:, None, None]
-    k_shortcut = None
-    if p.residual_enabled:
-        if p.shortcut is None:
-            out = out + r
-        else:
-            k_shortcut = ops.effective_kernel(p.shortcut)
-            out = out + ops.conv1x1(r, p.shortcut)
-    tape = BlockTape(
-        r=r,
-        xhat1=xhat1,
-        inv_std1=inv_std1,
-        mask1=mask1,
-        a1=a1,
-        xhat2=xhat2,
-        inv_std2=inv_std2,
-        k1=ops.effective_kernel(p.w1),
-        k2=ops.effective_kernel(p.w2),
-        k_shortcut=k_shortcut,
-    )
-    return out, tape
+    """F(h; x) and the tape its VJP reads."""
+    _check_operands(p, h, x)
+    return _block_forward(p, _effective_kernels(p), h, x, keep_tape=True)
 
 
 def block_vjp_from_tape(
@@ -454,34 +454,17 @@ def double_residual_forward(
     p: DoubleResidualParams, h: np.ndarray, x: np.ndarray
 ) -> np.ndarray:
     """One application of the transformation F(h; x)."""
-    return block_forward_tape(p, h, x)[0]
+    _check_operands(p, h, x)
+    return _block_forward(p, _effective_kernels(p), h, x)
 
 
 def block_apply_factory(p: DoubleResidualParams, x: np.ndarray):
-    """h -> F(h; x) with effective kernels precomputed once.
+    """h -> F(h; x) with effective kernels computed once and no operand checks.
 
-    Functionally identical to double_residual_forward(p, h, x); used inside
-    solver and long-unroll loops where the parameters are frozen.
+    Used inside solver and long-unroll loops where the parameters are frozen.
     """
-    k1 = ops.effective_kernel(p.w1)
-    k2 = ops.effective_kernel(p.w2)
-    ks = None if p.shortcut is None else ops.effective_kernel(p.shortcut)
-    s1, b1 = p.gn1.scale[:, None, None], p.gn1.shift[:, None, None]
-    s2, b2 = p.gn2.scale[:, None, None], p.gn2.shift[:, None, None]
-
-    def apply(h: np.ndarray) -> np.ndarray:
-        r = h + x
-        c1 = ops._conv2d_core(r, k1, p.w1.bias, 1, 1)
-        xh1, _ = ops._group_stats(c1, p.gn1)
-        a1 = np.maximum(xh1 * s1 + b1, 0.0)
-        c2 = ops._conv2d_core(a1, k2, p.w2.bias, 1, 1)
-        xh2, _ = ops._group_stats(c2, p.gn2)
-        out = xh2 * s2 + b2
-        if p.residual_enabled:
-            out = out + (r if ks is None else ops._conv2d_core(r, ks, p.shortcut.bias, 1, 0))
-        return out
-
-    return apply
+    kernels = _effective_kernels(p)
+    return lambda h: _block_forward(p, kernels, h, x)
 
 
 def double_residual_vjp(
@@ -508,19 +491,35 @@ def stacked_head_forward(
     """
     if not params:
         return x.copy()
-    h = np.zeros_like(x)
-    for p in params:
-        h = double_residual_forward(p, h, x)
-    return h
+    return stacked_head_tapes(params, x)[0]
 
 
 def stacked_head_tapes(params: Sequence[DoubleResidualParams], x: np.ndarray):
+    """Taped pass through the blocks in order from h0 = 0: (h, per-block tapes).
+
+    The weight-shared unroll is the stack with one block repeated. An empty
+    stack returns h0 itself.
+    """
     h = np.zeros_like(x)
     tapes = []
-    for p in params:
+    for i, p in enumerate(params):
         h, tape = block_forward_tape(p, h, x)
+        if not np.all(np.isfinite(h)):
+            raise DivergenceError(f"block {i} produced a non-finite iterate", step=i)
         tapes.append(tape)
-    return (x.copy() if not params else h), tapes
+    return h, tapes
+
+
+def _stack_backward(params: Sequence[DoubleResidualParams], tapes, cotangent: np.ndarray):
+    """(dR, parameter grads) of each taped block, top block first.
+
+    dR is the adjoint of the block's input R = h + x: it is the cotangent
+    passed down to the block below and one term of the adjoint of x.
+    """
+    d_h = cotangent
+    for p, tape in zip(reversed(params), reversed(tapes)):
+        d_h, grads = block_vjp_from_tape(p, tape, d_h)
+        yield d_h, grads
 
 
 def stacked_head_vjp(
@@ -534,42 +533,19 @@ def stacked_head_vjp(
     if tapes is None:
         _, tapes = stacked_head_tapes(params, x)
     dx_total = np.zeros_like(x)
-    d_h = cotangent
-    grads: list[Optional[DoubleResidualGrads]] = [None] * len(params)
-    for i in range(len(params) - 1, -1, -1):
-        d_r, grads[i] = block_vjp_from_tape(params[i], tapes[i], d_h)
+    grads = []
+    for d_r, block_grads in _stack_backward(params, tapes, cotangent):
         dx_total += d_r
-        d_h = d_r
+        grads.append(block_grads)
     # the bottom stage's dR propagates no further: h0 is the constant zero
-    return dx_total, grads  # type: ignore[return-value]
+    return dx_total, grads[::-1]
 
 
 def unrolled_shared_forward(
     p: DoubleResidualParams, x: np.ndarray, n: int
 ) -> tuple[np.ndarray, list[float]]:
     """n weight-shared applications from h0 = 0; trace of step-size norms."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    h = np.zeros_like(x)
-    trace: list[float] = []
-    for i in range(n):
-        h_next = double_residual_forward(p, h, x)
-        if not np.all(np.isfinite(h_next)):
-            raise DivergenceError(f"unroll produced non-finite iterate at step {i}", step=i)
-        trace.append(float(np.linalg.norm(h_next - h)))
-        h = h_next
-    return h, trace
-
-
-def unrolled_shared_tapes(p: DoubleResidualParams, x: np.ndarray, n: int):
-    h = np.zeros_like(x)
-    tapes = []
-    for i in range(n):
-        h, tape = block_forward_tape(p, h, x)
-        if not np.all(np.isfinite(h)):
-            raise DivergenceError(f"unroll produced non-finite iterate at step {i}", step=i)
-        tapes.append(tape)
-    return h, tapes
+    return fixed_point_iterate(block_apply_factory(p, x), np.zeros_like(x), n)
 
 
 def unrolled_shared_vjp(
@@ -579,19 +555,19 @@ def unrolled_shared_vjp(
     cotangent: np.ndarray,
     tapes=None,
 ) -> tuple[np.ndarray, DoubleResidualGrads]:
-    """Backpropagation through the n-step unroll, accumulating shared grads."""
+    """Backpropagation through the n-step unroll, accumulating shared grads.
+
+    tapes are those of stacked_head_tapes([p] * n, x); the shared gradient
+    sums the per-step gradients as they are made, last step first.
+    """
     if n == 0:
         return np.zeros_like(x), zero_block_grads(p)
     if tapes is None:
-        _, tapes = unrolled_shared_tapes(p, x, n)
-    total = zero_block_grads(p)
-    dx_total = np.zeros_like(x)
-    d_h = cotangent
-    for i in range(n - 1, -1, -1):
-        d_r, grads = block_vjp_from_tape(p, tapes[i], d_h)
-        total.iadd(grads)
+        _, tapes = stacked_head_tapes([p] * n, x)
+    dx_total, total = np.zeros_like(x), zero_block_grads(p)
+    for d_r, grads in _stack_backward([p] * n, tapes, cotangent):
         dx_total += d_r
-        d_h = d_r
+        total.iadd(grads)
     return dx_total, total
 
 
@@ -620,62 +596,26 @@ def mask_predictor_vjp(
 # parameter counting
 
 
-def _conv_count(out_c: int, in_c: int, k: int, bias: bool, gains: bool) -> int:
-    n = out_c * in_c * k * k
-    if bias:
-        n += out_c
-    if gains:
-        n += out_c
-    return n
+def _conv_count(out_c: int, in_c: int, k: int, gains: bool) -> int:
+    """Kernel, bias and, with weight norm, one gain per output channel."""
+    return out_c * in_c * k * k + out_c + (out_c if gains else 0)
 
 
-def count_parameters(
-    cfg: HeadConfig,
-    include_bias: bool = True,
-    include_norm_affine: bool = True,
-    include_gains: Optional[bool] = None,
-) -> int:
+def count_block_parameters(cfg: HeadConfig) -> int:
+    """Count of a single stage block (no predictor tail)."""
+    c, mid, gains = cfg.channels, cfg.mid_channels, cfg.weight_norm
+    block = _conv_count(mid, c, 3, gains) + _conv_count(c, mid, 3, gains) + 2 * mid + 2 * c
+    if cfg.double_residual and cfg.shortcut_mode == SHORTCUT_CONV:
+        block += _conv_count(c, c, 1, gains)
+    return block
+
+
+def count_parameters(cfg: HeadConfig) -> int:
     """Exact learnable-value count of the head (stages plus predictor tail).
 
-    include_gains counts weight-norm gains on the stage convs; it defaults
-    to whether the config enables weight norm. The predictor tail never
-    carries weight norm.
+    Stage convs carry weight-norm gains when the config enables weight
+    norm; the predictor tail never does.
     """
-    gains = cfg.weight_norm if include_gains is None else include_gains
-    c, mid = cfg.channels, cfg.mid_channels
-    block = _conv_count(mid, c, 3, include_bias, gains) + _conv_count(
-        c, mid, 3, include_bias, gains
-    )
-    if include_norm_affine:
-        block += 2 * mid + 2 * c
-    if cfg.double_residual and cfg.shortcut_mode == SHORTCUT_CONV:
-        block += _conv_count(c, c, 1, include_bias, gains)
-    tail = _conv_count(c, c, 2, include_bias, False) + _conv_count(
-        cfg.predictor_classes, c, 1, include_bias, False
-    )
-    return cfg.num_stages * block + tail
-
-
-def count_block_parameters(cfg: HeadConfig, **kwargs) -> int:
-    """Count of a single stage block (no predictor tail)."""
-    tail_only = HeadConfig(
-        strategy=EXPLICIT,
-        depth_or_budget=0,
-        channels=cfg.channels,
-        channel_multiplier=cfg.channel_multiplier,
-        double_residual=cfg.double_residual,
-        predictor_classes=cfg.predictor_classes,
-        shortcut_mode=cfg.shortcut_mode,
-        weight_norm=cfg.weight_norm,
-    )
-    one_stage = HeadConfig(
-        strategy=UNROLLED,
-        depth_or_budget=1,
-        channels=cfg.channels,
-        channel_multiplier=cfg.channel_multiplier,
-        double_residual=cfg.double_residual,
-        predictor_classes=cfg.predictor_classes,
-        shortcut_mode=cfg.shortcut_mode,
-        weight_norm=cfg.weight_norm,
-    )
-    return count_parameters(one_stage, **kwargs) - count_parameters(tail_only, **kwargs)
+    c = cfg.channels
+    tail = _conv_count(c, c, 2, False) + _conv_count(cfg.predictor_classes, c, 1, False)
+    return cfg.num_stages * count_block_parameters(cfg) + tail

@@ -1,11 +1,15 @@
 """Head checkpoints on top of the tensor container format.
 
 A checkpoint stores every parameter leaf under "param/<name>" plus the
-head configuration as scalar tensors under "config/<field>", so a trained
-head can be rebuilt without any sidecar file.
+head configuration as scalar tensors under "config/<field>" (a field that
+is None is left out), so a trained head can be rebuilt without any sidecar
+file.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import typing
 
 import numpy as np
 
@@ -20,24 +24,40 @@ from .blocks import (
 from .data import EntryMismatchError, load_container, save_container
 from .rng import CounterRng
 
-_SHORTCUT_MODES = (SHORTCUT_IDENTITY, SHORTCUT_CONV)
+# string fields are stored as their index into the tuple of allowed values
+_CODES = {"strategy": STRATEGIES, "shortcut_mode": (SHORTCUT_IDENTITY, SHORTCUT_CONV)}
+_HINTS = typing.get_type_hints(HeadConfig)
 
 
 def _config_tensors(cfg: HeadConfig) -> dict[str, np.ndarray]:
-    return {
-        "config/strategy": np.array([STRATEGIES.index(cfg.strategy)], dtype=np.float64),
-        "config/depth_or_budget": np.array([cfg.depth_or_budget], dtype=np.float64),
-        "config/channels": np.array([cfg.channels], dtype=np.float64),
-        "config/channel_multiplier": np.array([cfg.channel_multiplier], dtype=np.float64),
-        "config/double_residual": np.array([float(cfg.double_residual)]),
-        "config/predictor_classes": np.array([cfg.predictor_classes], dtype=np.float64),
-        "config/shortcut_mode": np.array(
-            [_SHORTCUT_MODES.index(cfg.shortcut_mode)], dtype=np.float64
-        ),
-        "config/weight_norm": np.array([float(cfg.weight_norm)]),
-        "config/gn2_scale_init": np.array([cfg.gn2_scale_init]),
-        "config/shortcut_gain_init": np.array([cfg.shortcut_gain_init]),
-    }
+    """One scalar tensor per HeadConfig field; a None field is left out."""
+    tensors = {}
+    for f in dataclasses.fields(HeadConfig):
+        value = getattr(cfg, f.name)
+        if value is None:
+            continue
+        if f.name in _CODES:
+            value = _CODES[f.name].index(value)
+        tensors[f"config/{f.name}"] = np.array([float(value)])
+    return tensors
+
+
+def _read_config(tensors: dict[str, np.ndarray]) -> HeadConfig:
+    """HeadConfig from its scalar tensors; an absent field defaulting to None is None."""
+    values = {}
+    for f in dataclasses.fields(HeadConfig):
+        key = f"config/{f.name}"
+        if key not in tensors:
+            if f.default is None:
+                continue
+            raise EntryMismatchError(f"checkpoint missing {key!r}")
+        value = float(tensors[key].reshape(-1)[0])
+        if f.name in _CODES:
+            value = _CODES[f.name][int(value)]
+        elif _HINTS[f.name] in (int, bool):
+            value = _HINTS[f.name](value)
+        values[f.name] = value
+    return HeadConfig(**values)
 
 
 def save_checkpoint(path, cfg: HeadConfig, params: HeadParams) -> None:
@@ -49,24 +69,7 @@ def save_checkpoint(path, cfg: HeadConfig, params: HeadParams) -> None:
 
 def load_checkpoint(path) -> tuple[HeadConfig, HeadParams]:
     tensors = load_container(path)
-
-    def scalar(name: str) -> float:
-        if name not in tensors:
-            raise EntryMismatchError(f"checkpoint missing {name!r}")
-        return float(tensors[name].reshape(-1)[0])
-
-    cfg = HeadConfig(
-        strategy=STRATEGIES[int(scalar("config/strategy"))],
-        depth_or_budget=int(scalar("config/depth_or_budget")),
-        channels=int(scalar("config/channels")),
-        channel_multiplier=scalar("config/channel_multiplier"),
-        double_residual=bool(scalar("config/double_residual")),
-        predictor_classes=int(scalar("config/predictor_classes")),
-        shortcut_mode=_SHORTCUT_MODES[int(scalar("config/shortcut_mode"))],
-        weight_norm=bool(scalar("config/weight_norm")),
-        gn2_scale_init=scalar("config/gn2_scale_init"),
-        shortcut_gain_init=scalar("config/shortcut_gain_init"),
-    )
+    cfg = _read_config(tensors)
     params = init_head(CounterRng(0), cfg)
     for name, arr in params.leaf_items():
         key = f"param/{name}"

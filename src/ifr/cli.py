@@ -8,18 +8,15 @@ columns never reorder without a version bump in that comment.
 Exit codes: 0 success, 1 config/validation error, 2 runtime/numeric
 failure, 3 I/O error. Relative paths (dataset, outputs, checkpoints)
 resolve against the output directory; the config path itself is
-cwd-relative. IFR_THREADS > 1 runs compare cells concurrently with
-deterministic output ordering by cell index.
+cwd-relative.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -27,11 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .blocks import (
-    EXPLICIT,
     IMPLICIT,
     STRATEGIES,
-    UNROLLED,
-    DivergenceError,
     HeadConfig,
     count_parameters,
 )
@@ -45,11 +39,16 @@ from .data import (
     save_container,
     tensors_to_samples,
 )
-from .diagnostics import implicit_gap, spectral_radius, unroll_convergence
+from .diagnostics import (
+    estimate_spectral_radius,
+    implicit_gap,
+    spectral_radius,
+    unroll_convergence,
+)
 from .gradcheck import FD_TOLERANCE, UNROLL_TOLERANCE, run_grad_check
 from .ops import NonFiniteError
 from .rng import CounterRng
-from .solver import SolverConfig, broyden_solve
+from .solver import DivergenceError, SolverConfig, broyden_solve, fixed_point_iterate
 from .training import TrainConfig, TrainingAbortedError, solver_config_for, train
 
 CSV_VERSION = "# ifr-csv v1"
@@ -284,13 +283,7 @@ def cmd_compare(args) -> int:
                 f"error: {exc}",
             ]
 
-    threads = int(os.environ.get("IFR_THREADS", "1"))
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(safe_run, cells))
-    else:
-        rows = [safe_run(c) for c in cells]
-    rows.sort(key=lambda r: r[0])
+    rows = [safe_run(c) for c in cells]
     columns = [
         "cell", "strategy", "depth_or_budget", "double_residual",
         "param_count", "final_iou", "final_loss", "solver_converged_frac", "status",
@@ -343,15 +336,12 @@ def eval_multiplier(text: str) -> float:
 def _diagnose_linear(args, out_dir) -> int:
     # built-in test profile: F(h) = 0.5 h + 1 in one dimension
     steps = args.steps
-    h = np.zeros(1)
-    rows = []
-    for i in range(steps):
-        h_next = 0.5 * h + 1.0
-        rows.append(["linear-1d", "norm_diff", i, float(abs(h_next[0] - h[0]))])
-        h = h_next
+    h, trace = fixed_point_iterate(lambda v: 0.5 * v + 1.0, np.zeros(1), steps)
+    rows = [["linear-1d", "norm_diff", i, diff] for i, diff in enumerate(trace)]
     solve = broyden_solve(lambda v: 0.5 * v + 1.0 - v, np.zeros(1), SolverConfig())
     rows.append(["linear-1d", "implicit_gap", steps, float(abs(solve.root[0] - h[0]))])
-    rows.append(["linear-1d", "spectral_radius", steps, 0.5])
+    rho = estimate_spectral_radius(lambda v: 0.5 * v, (1,))
+    rows.append(["linear-1d", "spectral_radius", steps, rho])
     out_path = _resolve(args.out, out_dir)
     write_csv(out_path, ["input", "metric", "step", "value"], rows)
     print(f"diagnostics {out_path}")
@@ -382,7 +372,7 @@ def cmd_diagnose(args) -> int:
             print(f"input {i}: divergence flagged ({report.note})")
             continue
         final = report.norm_diff_trace[-1] if report.norm_diff_trace else float("nan")
-        rho_end = spectral_radius(block, x, _unroll_endpoint(block, x, args.steps))
+        rho_end = spectral_radius(block, x, report.endpoint)
         rows.append([i, "spectral_radius_at_end", args.steps, rho_end])
         gap = implicit_gap(block, x, solver_cfg, args.steps)
         rows.append([i, "implicit_gap", args.steps, gap])
@@ -391,15 +381,6 @@ def cmd_diagnose(args) -> int:
     write_csv(out_path, ["input", "metric", "step", "value"], rows)
     print(f"diagnostics {out_path}")
     return EXIT_OK
-
-
-def _unroll_endpoint(block, x, steps: int) -> np.ndarray:
-    from .blocks import double_residual_forward
-
-    h = np.zeros_like(x)
-    for _ in range(steps):
-        h = double_residual_forward(block, h, x)
-    return h
 
 
 def cmd_grad_check(args) -> int:

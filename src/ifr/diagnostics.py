@@ -1,9 +1,11 @@
 """Convergence analysis of the weight-tied refinement iteration.
 
 Three probes: the long-unroll norm-difference trace, an Arnoldi (Krylov)
-estimate of the spectral radius of dF/dh (via central-difference
-Jacobian-vector products), and the gap between the solver equilibrium and a
-long explicit unroll.
+estimate of the spectral radius of dF/dh, and the gap between the solver
+equilibrium and a long explicit unroll. The Arnoldi iteration runs on the
+exact transposed Jacobian (dF/dh)^T, applied as a vector-Jacobian product
+from one forward tape; no finite differences are taken, and the transpose
+has the same spectral radius.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .blocks import (
-    DivergenceError,
     DoubleResidualParams,
     block_apply_factory,
-    double_residual_forward,
+    block_forward_tape,
+    block_vjp_from_tape,
 )
 from .implicit import ifr_forward
 from .rng import CounterRng
-from .solver import SolverConfig
+from .solver import SolverConfig, fixed_point_iterate
 
 _GROWTH_GUARD = 1e6
 
@@ -32,6 +34,8 @@ class ConvergenceReport:
     spectral_radius_estimates: list[float]
     implicit_gap: float
     steps: int
+    # the last finite iterate: h after `steps` applications of F unless diverged
+    endpoint: np.ndarray
     diverged: bool = False
     note: str = ""
 
@@ -83,6 +87,7 @@ def unroll_convergence(
         spectral_radius_estimates=radius_estimates,
         implicit_gap=float("nan"),
         steps=len(trace),
+        endpoint=h,
         diverged=diverged,
         note=note,
     )
@@ -136,22 +141,11 @@ def estimate_spectral_radius(
 
 
 def block_jacobian_apply(
-    p: DoubleResidualParams, x: np.ndarray, h: np.ndarray, eps_scale: float = 1e-5
+    p: DoubleResidualParams, x: np.ndarray, h: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Central-difference JVP of h -> F(h; x) at the point (h, x)."""
-    base_scale = float(np.linalg.norm(h)) + 1.0
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            return np.zeros_like(v)
-        eps = eps_scale * base_scale
-        unit = v / vnorm
-        up = double_residual_forward(p, h + eps * unit, x)
-        down = double_residual_forward(p, h - eps * unit, x)
-        return (up - down) * (vnorm / (2.0 * eps))
-
-    return apply
+    """v -> (dF/dh)^T v at the point (h, x), an exact VJP from one forward tape."""
+    _, tape = block_forward_tape(p, h, x)
+    return lambda v: block_vjp_from_tape(p, tape, v, want_params=False)[0]
 
 
 def spectral_radius(
@@ -175,10 +169,5 @@ def implicit_gap(
 ) -> float:
     """Max-abs difference between the solver equilibrium and a `steps` unroll."""
     rec = ifr_forward(p, x, cfg)
-    apply = block_apply_factory(p, x)
-    h = np.zeros_like(x)
-    for i in range(steps):
-        h = apply(h)
-        if not np.isfinite(h.sum()):
-            raise DivergenceError(f"unroll non-finite at step {i}", step=i)
+    h, _ = fixed_point_iterate(block_apply_factory(p, x), np.zeros_like(x), steps)
     return float(np.max(np.abs(rec.equilibrium - h)))

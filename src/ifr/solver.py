@@ -4,8 +4,8 @@ The workhorse is a limited-memory "good Broyden" iteration: the inverse
 Jacobian estimate starts at -I and accumulates rank-one corrections, kept as
 (u, v) pair history so no dense matrix is ever formed. With the -I seed the
 first step is x1 = x0 + g(x0), i.e. a plain fixed-point step when
-g(h) = F(h) - h. A plain fixed-point iterator is provided both as a fallback
-and as the long-horizon oracle the solver is tested against.
+g(h) = F(h) - h. A plain fixed-point iterator is the package's untaped
+unroll loop and the long-horizon oracle the solver is tested against.
 """
 
 from __future__ import annotations
@@ -15,9 +15,15 @@ from typing import Callable
 
 import numpy as np
 
-from .blocks import DivergenceError
-
 _REL_EPS = 1e-9
+
+
+class DivergenceError(RuntimeError):
+    """An iteration produced a non-finite or runaway iterate."""
+
+    def __init__(self, message: str, step: int):
+        super().__init__(message)
+        self.step = step
 
 
 @dataclass

@@ -230,7 +230,7 @@ def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfi
         h, tapes = blocks.stacked_head_tapes(params.stages, x)
         return (x.copy() if not params.stages else h), tapes, True, False
     if cfg.strategy == UNROLLED:
-        h, tapes = blocks.unrolled_shared_tapes(params.stages[0], x, cfg.depth_or_budget)
+        h, tapes = blocks.stacked_head_tapes([params.stages[0]] * cfg.depth_or_budget, x)
         return h, tapes, True, False
     rec = ifr_forward(params.stages[0], x, solver_cfg)
     diverged = bool(rec.forward_result.note)

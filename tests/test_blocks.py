@@ -1,5 +1,7 @@
 """Double-residual block, head strategies, predictor, and parameter counts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -343,9 +345,10 @@ def test_count_matches_constructed_parameters():
 
 
 def test_count_weight_norm_gains_flag():
-    cfg = coco_cfg(IMPLICIT, 15)
-    with_gains = count_parameters(cfg, include_gains=True)
-    assert with_gains == count_parameters(cfg) + 2 * 256  # one gain vector per stage conv
+    plain = coco_cfg(IMPLICIT, 15)
+    normed = dataclasses.replace(plain, weight_norm=True)
+    # one gain vector per stage conv
+    assert count_parameters(normed) == count_parameters(plain) + 2 * 256
 
 
 def test_head_config_validation():

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from ifr.blocks import double_residual_forward, unrolled_shared_forward
 from ifr.diagnostics import (
+    block_jacobian_apply,
     estimate_spectral_radius,
     implicit_gap,
     spectral_radius,
@@ -47,6 +49,25 @@ def test_unroll_convergence_probes_spectral_radius():
     report = unroll_convergence(p, x, 20, probe_steps=(0, 10))
     assert len(report.spectral_radius_estimates) == 2
     assert all(abs(est - 0.5) < 1e-6 for est in report.spectral_radius_estimates)
+
+
+def test_unroll_convergence_endpoint_is_the_unrolled_forward(corpus_block):
+    x = rand(11, (8, 6, 6))
+    report = unroll_convergence(corpus_block, x, 300)
+    unrolled, _ = unrolled_shared_forward(corpus_block, x, 300)
+    assert report.endpoint.tobytes() == unrolled.tobytes()
+
+
+def test_block_jacobian_apply_is_the_transposed_jacobian(corpus_block):
+    # <(dF/dh)^T v, u> against a central difference of <F(h + eps u) - F(h - eps u), v> / 2 eps
+    x, h = rand(12, (8, 6, 6)), rand(13, (8, 6, 6))
+    u, v = rand(14, (8, 6, 6)), rand(15, (8, 6, 6))
+    eps = 1e-5
+    up = double_residual_forward(corpus_block, h + eps * u, x)
+    down = double_residual_forward(corpus_block, h - eps * u, x)
+    fd = float(np.sum((up - down) * v)) / (2.0 * eps)
+    exact = float(np.sum(block_jacobian_apply(corpus_block, x, h)(v) * u))
+    assert abs(exact - fd) <= 1e-6 * abs(fd)
 
 
 def test_spectral_radius_diagonal_linear_map():
