@@ -5,7 +5,9 @@ The block computes F(h; x) = GN2(conv2(relu(GN1(conv1(R))))) + shortcut(R)
 with R = h + x. Three head strategies apply it: a stack of depth M with
 independent per-stage parameters, a weight-shared unroll of N steps, and the
 implicit equilibrium head (see `ifr.implicit`). All backward passes are exact
-compositions of the op-level VJPs in `ifr.ops`.
+compositions of the op-level VJPs in `ifr.ops`. Features carry the optional
+leading batch axis of `ifr.ops`, (N, C, H, W); the parameter gradients of a
+batch are the sums of its samples' gradients.
 """
 
 from __future__ import annotations
@@ -130,10 +132,6 @@ class MaskPredictorGrads:
         yield from self.deconv.leaf_items(prefix + "deconv.")
         yield from self.proj.leaf_items(prefix + "proj.")
 
-    def iadd(self, other: "MaskPredictorGrads") -> None:
-        self.deconv.iadd(other.deconv)
-        self.proj.iadd(other.proj)
-
 
 @dataclass
 class HeadParams:
@@ -152,20 +150,14 @@ class HeadParams:
 class HeadGrads:
     stages: list[DoubleResidualGrads]
     predictor: MaskPredictorGrads
-    # False when an implicit adjoint solve behind these gradients stopped
-    # short of its tolerance: they are then not the exact IFT gradients
-    adjoint_converged: bool = True
+    # the implicit adjoint solves behind these gradients that stopped short
+    # of their tolerance: their terms are not the exact IFT gradients
+    adjoint_unconverged: int = 0
 
     def leaf_items(self, prefix: str = ""):
         for i, stage in enumerate(self.stages):
             yield from stage.leaf_items(f"{prefix}stage{i}.")
         yield from self.predictor.leaf_items(prefix + "predictor.")
-
-    def iadd(self, other: "HeadGrads") -> None:
-        for mine, theirs in zip(self.stages, other.stages):
-            mine.iadd(theirs)
-        self.predictor.iadd(other.predictor)
-        self.adjoint_converged = self.adjoint_converged and other.adjoint_converged
 
 
 @dataclass
@@ -326,15 +318,6 @@ def zero_block_grads(p: DoubleResidualParams) -> DoubleResidualGrads:
     )
 
 
-def zero_head_grads(params: HeadParams) -> HeadGrads:
-    return HeadGrads(
-        stages=[zero_block_grads(s) for s in params.stages],
-        predictor=MaskPredictorGrads(
-            zero_conv_grads(params.predictor.deconv), zero_conv_grads(params.predictor.proj)
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # block forward/backward
 
@@ -388,10 +371,10 @@ def _block_forward(
 def _check_operands(p: DoubleResidualParams, h: np.ndarray, x: np.ndarray) -> None:
     if h.shape != x.shape:
         raise ShapeError(f"hidden shape {h.shape} != input shape {x.shape}")
-    ops._check_3d(x, "block input")
+    ops.check_maps(x, "block input")
     ops.check_finite(h, "block hidden state")
-    if x.shape[0] != p.channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, block expects {p.channels}")
+    if x.shape[-3] != p.channels:
+        raise ShapeError(f"input has {x.shape[-3]} channels, block expects {p.channels}")
 
 
 def block_forward_tape(
@@ -415,7 +398,7 @@ def block_vjp_from_tape(
     (the adjoint fixed-point loop only needs dR).
     """
     shape = tape.r.shape
-    mid_shape = (p.mid_channels, shape[1], shape[2])
+    mid_shape = shape[:-3] + (p.mid_channels,) + shape[-2:]
     d_c2 = ops.group_norm_input_vjp(tape.xhat2, tape.inv_std2, p.gn2, cotangent)
     if want_params:
         d_a1, w2_g = ops.conv2d_vjp(tape.a1, p.w2, 1, 1, d_c2)
@@ -440,10 +423,10 @@ def block_vjp_from_tape(
     if not want_params:
         return d_r, None
     gn1_g = ops.GroupNormGrads(
-        (d_g1 * tape.xhat1).sum(axis=(1, 2)), d_g1.sum(axis=(1, 2))
+        ops._channel_sum(d_g1 * tape.xhat1), ops._channel_sum(d_g1)
     )
     gn2_g = ops.GroupNormGrads(
-        (cotangent * tape.xhat2).sum(axis=(1, 2)), cotangent.sum(axis=(1, 2))
+        ops._channel_sum(cotangent * tape.xhat2), ops._channel_sum(cotangent)
     )
     if p.shortcut is not None and shortcut_g is None:
         shortcut_g = zero_conv_grads(p.shortcut)

@@ -45,7 +45,7 @@ from .diagnostics import (
     spectral_radius,
     unroll_convergence,
 )
-from .gradcheck import FD_TOLERANCE, UNROLL_TOLERANCE, run_grad_check
+from .gradcheck import FD_TOLERANCE, SOLVE_REL_TOL, UNROLL_TOLERANCE, run_grad_check
 from .ops import NonFiniteError
 from .rng import CounterRng
 from .solver import DivergenceError, SolverConfig, broyden_solve, fixed_point_iterate
@@ -400,6 +400,8 @@ def cmd_grad_check(args) -> int:
           f"(tolerance {FD_TOLERANCE:.0e})")
     print(f"max rel error vs unroll backprop:    {result.unroll_rel_error:.3e} "
           f"(tolerance {UNROLL_TOLERANCE:.0e})")
+    print(f"adjoint solves converged: {result.adjoint_converged}/{result.adjoint_solves} "
+          f"(rel_tol {SOLVE_REL_TOL:g}, budget {budget})")
     if result.fd_rel_error > FD_TOLERANCE or result.unroll_rel_error > UNROLL_TOLERANCE:
         print("FAIL")
         return EXIT_RUNTIME

@@ -32,7 +32,6 @@ _GROWTH_GUARD = 1e6
 class ConvergenceReport:
     norm_diff_trace: list[float]
     spectral_radius_estimates: list[float]
-    implicit_gap: float
     steps: int
     # the last finite iterate: h after `steps` applications of F unless diverged
     endpoint: np.ndarray
@@ -85,7 +84,6 @@ def unroll_convergence(
     return ConvergenceReport(
         norm_diff_trace=trace,
         spectral_radius_estimates=radius_estimates,
-        implicit_gap=float("nan"),
         steps=len(trace),
         endpoint=h,
         diverged=diverged,

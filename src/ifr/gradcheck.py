@@ -27,6 +27,8 @@ from .solver import SolverConfig
 
 FD_TOLERANCE = 1e-4
 UNROLL_TOLERANCE = 1e-3
+# relative tolerance of the forward and adjoint solves under check
+SOLVE_REL_TOL = 1e-10
 
 # relative-error floor as a fraction of the largest gradient coordinate
 _FLOOR_FRACTION = 1e-6
@@ -81,6 +83,10 @@ def _leaf_dict(grads) -> dict[str, np.ndarray]:
 class GradCheckResult:
     fd_rel_error: float
     unroll_rel_error: float
+    # adjoint solves behind the checked gradients, and how many of them
+    # reached their tolerance within the budget
+    adjoint_solves: int
+    adjoint_converged: int
 
 
 def check_block_gradients(
@@ -143,7 +149,12 @@ def check_block_gradients(
     reference = _leaf_dict(grads_unroll)
     reference["input"] = dx_unroll
     unroll_err = guarded_max_rel_error(implicit_grads, reference)
-    return GradCheckResult(fd_rel_error=fd_err, unroll_rel_error=unroll_err)
+    return GradCheckResult(
+        fd_rel_error=fd_err,
+        unroll_rel_error=unroll_err,
+        adjoint_solves=1,
+        adjoint_converged=int(back.adjoint_result.converged),
+    )
 
 
 def run_grad_check(
@@ -154,11 +165,13 @@ def run_grad_check(
     seed: int = 0,
     break_vjp: bool = False,
 ) -> GradCheckResult:
-    """Worst-case errors over `trials` random contractive blocks."""
+    """Worst-case errors over `trials` random contractive blocks, and the
+    adjoint solves' convergence count over all of them."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    solver_cfg = SolverConfig(max_iters=budget, rel_tol=1e-10)
+    solver_cfg = SolverConfig(max_iters=budget, rel_tol=SOLVE_REL_TOL)
     worst_fd = worst_unroll = 0.0
+    solves = converged = 0
     for t in range(trials):
         block_seed = 1_000 * (seed + 1) + t
         p = contractive_block(block_seed, channels)
@@ -170,4 +183,6 @@ def run_grad_check(
         )
         worst_fd = max(worst_fd, result.fd_rel_error)
         worst_unroll = max(worst_unroll, result.unroll_rel_error)
-    return GradCheckResult(fd_rel_error=worst_fd, unroll_rel_error=worst_unroll)
+        solves += result.adjoint_solves
+        converged += result.adjoint_converged
+    return GradCheckResult(worst_fd, worst_unroll, solves, converged)

@@ -1,9 +1,14 @@
 """Dense float64 feature-map primitives and their vector-Jacobian products.
 
-Feature maps are plain numpy arrays in channels-first layout (C, H, W).
-Every operation here is pure, validates shapes and finiteness on entry,
-and has an exact hand-derived adjoint so that block- and head-level
-backward passes can be composed without an autodiff tape.
+Feature maps are plain numpy arrays in channels-first layout (C, H, W),
+with an optional leading batch axis: (N, C, H, W). A 3-D map is the N = 1
+case of the same code. Convolutions and the 2x2 transposed convolution run
+as one GEMM over the N*H*W columns of the batch, so a parameter gradient
+sums over the batch inside that GEMM; group-norm statistics are taken per
+sample. Every operation here is pure, validates shapes and finiteness on
+entry (one check per batch), and has an exact hand-derived adjoint so that
+block- and head-level backward passes can be composed without an autodiff
+tape.
 """
 
 from __future__ import annotations
@@ -36,10 +41,28 @@ def check_finite(x: np.ndarray, what: str = "input") -> np.ndarray:
     return x
 
 
-def _check_3d(x: np.ndarray, what: str) -> np.ndarray:
-    if x.ndim != 3:
-        raise ShapeError(f"{what} must be (channels, height, width), got shape {x.shape}")
+def check_maps(x: np.ndarray, what: str) -> np.ndarray:
+    """A finite (C, H, W) map or (N, C, H, W) batch of maps."""
+    if x.ndim not in (3, 4):
+        raise ShapeError(
+            f"{what} must be ([batch,] channels, height, width), got shape {x.shape}"
+        )
     return check_finite(x, what)
+
+
+def as_batch(x: np.ndarray) -> np.ndarray:
+    """(N, C, H, W) view of a map or batch; a 3-D map is N = 1."""
+    return x.reshape((-1,) + x.shape[-3:])
+
+
+def _channel_rows(x: np.ndarray) -> np.ndarray:
+    """(C, N*H*W) GEMM operand: one row per channel, one column per pixel of the batch."""
+    return as_batch(x).transpose(1, 0, 2, 3).reshape(x.shape[-3], -1)
+
+
+def _channel_sum(x: np.ndarray) -> np.ndarray:
+    """Per-channel sum over the batch and both spatial axes."""
+    return as_batch(x).sum(axis=(0, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +236,33 @@ def _conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int)
     return oh, ow
 
 
+def _pad(x: np.ndarray, padding: int) -> np.ndarray:
+    """Zero-pad the spatial axes of an (N, C, H, W) batch; the result is C-contiguous."""
+    if not padding:
+        return np.ascontiguousarray(x)
+    n, c, h, w = x.shape
+    x_pad = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    x_pad[:, :, padding : padding + h, padding : padding + w] = x
+    return x_pad
+
+
 def _patches(x_pad: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
-    """Strided view (C, kh, kw, oh, ow) over the padded input."""
-    sc, sh, sw = x_pad.strides
-    return np.lib.stride_tricks.as_strided(
-        x_pad,
-        shape=(x_pad.shape[0], kh, kw, oh, ow),
-        strides=(sc, sh, sw, stride * sh, stride * sw),
-        writeable=False,
+    """im2col columns (C*kh*kw, N*oh*ow) of a C-contiguous padded (N, C, Hp, Wp) batch."""
+    n, c = x_pad.shape[:2]
+    sn, sc, sh, sw = x_pad.strides
+    # a strided window view straight on the buffer (as_strided costs more
+    # than the GEMM of a small map)
+    windows = np.ndarray(
+        (c, kh, kw, n, oh, ow), np.float64, x_pad, 0, (sc, sh, sw, sn, stride * sh, stride * sw)
     )
+    return windows.reshape(c * kh * kw, n * oh * ow)
+
+
+def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndarray:
+    """Inverse of _channel_rows: (C, N*h*w) GEMM output to a (..., C, h, w) map."""
+    c = rows.shape[0]
+    out = rows.reshape(c, -1, h, w).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(out).reshape(lead + (c, h, w))
 
 
 def _conv2d_core(
@@ -231,29 +272,25 @@ def _conv2d_core(
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Unchecked cross-correlation on a raw kernel (hot path)."""
-    c, h, w = x.shape
+    """Unchecked cross-correlation on a raw kernel (hot path): one GEMM per batch."""
+    batch = as_batch(x)
+    h, w = batch.shape[2:]
     out_c, _, kh, kw = kernel.shape
     oh, ow = _conv_output_hw(h, w, kh, kw, stride, padding)
-    if padding:
-        x_pad = np.zeros((c, h + 2 * padding, w + 2 * padding))
-        x_pad[:, padding : padding + h, padding : padding + w] = x
-    else:
-        x_pad = x
-    cols = _patches(x_pad, kh, kw, stride, oh, ow).reshape(c * kh * kw, -1)
-    out = (kernel.reshape(out_c, -1) @ cols).reshape(out_c, oh, ow)
+    cols = _patches(_pad(batch, padding), kh, kw, stride, oh, ow)
+    out = kernel.reshape(out_c, -1) @ cols
     if bias is not None:
-        out += bias[:, None, None]
-    return out
+        out += bias[:, None]
+    return _from_channel_rows(out, x.shape[:-3], oh, ow)
 
 
 def conv2d(x: np.ndarray, p: ConvParams, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlation with zero padding, effective kernel, per-channel bias."""
-    x = _check_3d(x, "conv2d input")
+    x = check_maps(x, "conv2d input")
     if stride < 1 or padding < 0:
         raise ValueError("stride must be >= 1 and padding >= 0")
-    if x.shape[0] != p.in_channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, kernel expects {p.in_channels}")
+    if x.shape[-3] != p.in_channels:
+        raise ShapeError(f"input has {x.shape[-3]} channels, kernel expects {p.in_channels}")
     return _conv2d_core(x, effective_kernel(p), p.bias, stride, padding)
 
 
@@ -264,65 +301,60 @@ def conv2d_vjp(
     padding: int,
     cotangent: np.ndarray,
 ) -> tuple[np.ndarray, ConvGrads]:
-    """Adjoints of conv2d w.r.t. input and every parameter leaf."""
-    x = _check_3d(x, "conv2d input")
-    cotangent = _check_3d(cotangent, "conv2d cotangent")
+    """Adjoints of conv2d w.r.t. input and every parameter leaf (summed over a batch)."""
+    x = check_maps(x, "conv2d input")
+    cotangent = check_maps(cotangent, "conv2d cotangent")
     kernel = effective_kernel(p)
     out_c, in_c, kh, kw = kernel.shape
-    c, h, w = x.shape
+    c, h, w = x.shape[-3:]
     if c != in_c:
         raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
     oh, ow = _conv_output_hw(h, w, kh, kw, stride, padding)
-    if cotangent.shape != (out_c, oh, ow):
+    if cotangent.shape != x.shape[:-3] + (out_c, oh, ow):
         raise ShapeError(
-            f"cotangent shape {cotangent.shape} does not match output ({out_c}, {oh}, {ow})"
+            f"cotangent shape {cotangent.shape} does not match output "
+            f"{x.shape[:-3] + (out_c, oh, ow)}"
         )
-    hp, wp = h + 2 * padding, w + 2 * padding
-    if padding:
-        x_pad = np.zeros((c, hp, wp))
-        x_pad[:, padding : padding + h, padding : padding + w] = x
-    else:
-        x_pad = x
+    cols = _patches(_pad(as_batch(x), padding), kh, kw, stride, oh, ow)
+    d_kernel = (_channel_rows(cotangent) @ cols.T).reshape(kernel.shape)
 
-    cot_flat = cotangent.reshape(out_c, -1)
-    cols = _patches(x_pad, kh, kw, stride, oh, ow).reshape(c * kh * kw, -1)
-    d_kernel = (cot_flat @ cols.T).reshape(kernel.shape)
-
-    dx = conv2d_input_vjp(kernel, (c, h, w), stride, padding, cotangent)
+    dx = conv2d_input_vjp(kernel, x.shape, stride, padding, cotangent)
     grads = _kernel_vjp(p, d_kernel)
-    grads.bias = cotangent.sum(axis=(1, 2))
+    grads.bias = _channel_sum(cotangent)
     return dx, grads
 
 
 def conv2d_input_vjp(
     kernel: np.ndarray,
-    in_shape: tuple[int, int, int],
+    in_shape: tuple[int, ...],
     stride: int,
     padding: int,
     cotangent: np.ndarray,
 ) -> np.ndarray:
-    """Adjoint of conv2d w.r.t. the input only (no parameter gradients)."""
-    c, h, w = in_shape
+    """Adjoint of conv2d w.r.t. the input only (no parameter gradients).
+
+    in_shape is the input's (..., C, H, W) shape.
+    """
+    c, h, w = in_shape[-3:]
     out_c, _, kh, kw = kernel.shape
-    oh, ow = cotangent.shape[1:]
+    oh, ow = cotangent.shape[-2:]
     if stride == 1 and kh == kw and padding <= kh - 1:
         # stride-1 input adjoint is itself a correlation with the spatially
         # flipped, channel-transposed kernel
         flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         return _conv2d_core(cotangent, flipped, None, 1, kh - 1 - padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
     # scatter cotangent back through each kernel tap
-    d_cols = (kernel.reshape(out_c, -1).T @ cotangent.reshape(out_c, -1)).reshape(
-        c, kh, kw, oh, ow
+    d_cols = (kernel.reshape(out_c, -1).T @ _channel_rows(cotangent)).reshape(
+        c, kh, kw, -1, oh, ow
     )
-    dx_pad = np.zeros((c, hp, wp))
+    dx_pad = np.zeros((c, d_cols.shape[3], h + 2 * padding, w + 2 * padding))
     for a in range(kh):
         for b in range(kw):
-            dx_pad[:, a : a + stride * oh : stride, b : b + stride * ow : stride] += d_cols[
+            dx_pad[:, :, a : a + stride * oh : stride, b : b + stride * ow : stride] += d_cols[
                 :, a, b
             ]
-    dx = dx_pad[:, padding : padding + h, padding : padding + w] if padding else dx_pad
-    return np.ascontiguousarray(dx)
+    dx = dx_pad[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(dx).reshape(tuple(in_shape))
 
 
 def conv1x1(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -338,41 +370,61 @@ def conv1x1_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
     return conv2d_vjp(x, p, 1, 0, cotangent)
 
 
+def _deconv_taps(kernel: np.ndarray) -> np.ndarray:
+    """(out_c*2*2, in_c) GEMM operand of a 2x2 kernel, one row per (o, a, b) tap."""
+    return kernel.transpose(0, 2, 3, 1).reshape(-1, kernel.shape[1])
+
+
+def _deconv_shapes(x: np.ndarray, kernel: np.ndarray):
+    out_c, in_c, kh, kw = kernel.shape
+    if (kh, kw) != (2, 2):
+        raise ShapeError(f"deconv2x2 kernel must be 2x2, got {kh}x{kw}")
+    c, h, w = x.shape[-3:]
+    if c != in_c:
+        raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
+    return x.shape[:-3] + (out_c, 2 * h, 2 * w)
+
+
 def deconv2x2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Transposed convolution, 2x2 kernel, stride 2: doubles spatial extent.
 
     With stride equal to the kernel size the output blocks do not overlap:
-    out[o, 2i+a, 2j+b] = sum_c k[o, c, a, b] * x[c, i, j] + bias[o].
+    out[o, 2i+a, 2j+b] = sum_c k[o, c, a, b] * x[c, i, j] + bias[o], one GEMM
+    of the (o, a, b) taps against the batch's pixels.
     """
-    x = _check_3d(x, "deconv2x2 input")
+    x = check_maps(x, "deconv2x2 input")
     kernel = effective_kernel(p)
-    out_c, in_c, kh, kw = kernel.shape
-    if (kh, kw) != (2, 2):
-        raise ShapeError(f"deconv2x2 kernel must be 2x2, got {kh}x{kw}")
-    c, h, w = x.shape
-    if c != in_c:
-        raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
-    out = np.einsum("ocab,chw->ohawb", kernel, x).reshape(out_c, 2 * h, 2 * w)
-    out += p.bias[:, None, None]
-    return np.ascontiguousarray(out)
+    out_shape = _deconv_shapes(x, kernel)
+    n = as_batch(x).shape[0]
+    h, w = x.shape[-2:]
+    out = (_deconv_taps(kernel) @ _channel_rows(x)).reshape(-1, 2, 2, n, h, w)
+    out += p.bias[:, None, None, None, None, None]
+    # (o, a, b, n, i, j) -> (n, o, i, a, j, b), i.e. out[n, o, 2i+a, 2j+b]
+    return out.transpose(3, 0, 4, 1, 5, 2).reshape(out_shape)
 
 
 def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
-    x = _check_3d(x, "deconv2x2 input")
-    cotangent = _check_3d(cotangent, "deconv2x2 cotangent")
+    x = check_maps(x, "deconv2x2 input")
+    cotangent = check_maps(cotangent, "deconv2x2 cotangent")
     kernel = effective_kernel(p)
-    out_c, in_c, _, _ = kernel.shape
-    c, h, w = x.shape
-    if cotangent.shape != (out_c, 2 * h, 2 * w):
+    out_shape = _deconv_shapes(x, kernel)
+    if cotangent.shape != out_shape:
         raise ShapeError(
-            f"cotangent shape {cotangent.shape} does not match output ({out_c}, {2*h}, {2*w})"
+            f"cotangent shape {cotangent.shape} does not match output {out_shape}"
         )
-    cot_blocks = cotangent.reshape(out_c, h, 2, w, 2)
-    d_kernel = np.einsum("ohawb,chw->ocab", cot_blocks, x)
-    dx = np.einsum("ohawb,ocab->chw", cot_blocks, kernel)
+    out_c, in_c = kernel.shape[:2]
+    n = as_batch(x).shape[0]
+    h, w = x.shape[-2:]
+    # (n, o, i, a, j, b) -> rows (o, a, b), columns (n, i, j)
+    cot_taps = (
+        cotangent.reshape(n, out_c, h, 2, w, 2).transpose(1, 3, 5, 0, 2, 4).reshape(4 * out_c, -1)
+    )
+    d_taps = cot_taps @ _channel_rows(x).T
+    d_kernel = np.ascontiguousarray(d_taps.reshape(out_c, 2, 2, in_c).transpose(0, 3, 1, 2))
+    dx = _from_channel_rows(_deconv_taps(kernel).T @ cot_taps, x.shape[:-3], h, w)
     grads = _kernel_vjp(p, d_kernel)
-    grads.bias = cotangent.sum(axis=(1, 2))
-    return np.ascontiguousarray(dx), grads
+    grads.bias = _channel_sum(cotangent)
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +432,20 @@ def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
 
 
 def _group_stats(x: np.ndarray, p: GroupNormParams):
-    c, h, w = x.shape
-    grouped = x.reshape(p.num_groups, -1)
-    mean = grouped.mean(axis=1)
-    var = grouped.var(axis=1)
+    """(xhat, inv_std): statistics per sample and group, inv_std shaped (..., groups)."""
+    grouped = x.reshape(x.shape[:-3] + (p.num_groups, -1))
+    centered = grouped - grouped.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1)
     inv_std = 1.0 / np.sqrt(var + p.epsilon)
-    xhat = ((grouped - mean[:, None]) * inv_std[:, None]).reshape(c, h, w)
+    xhat = (centered * inv_std[..., None]).reshape(x.shape)
     return xhat, inv_std
 
 
 def group_norm(x: np.ndarray, p: GroupNormParams) -> np.ndarray:
-    """Mean-zero/unit-variance per group, then per-channel affine."""
-    x = _check_3d(x, "group_norm input")
-    if x.shape[0] != p.channels:
-        raise ShapeError(f"input has {x.shape[0]} channels, params expect {p.channels}")
+    """Mean-zero/unit-variance per sample and group, then per-channel affine."""
+    x = check_maps(x, "group_norm input")
+    if x.shape[-3] != p.channels:
+        raise ShapeError(f"input has {x.shape[-3]} channels, params expect {p.channels}")
     xhat, _ = _group_stats(x, p)
     return xhat * p.scale[:, None, None] + p.shift[:, None, None]
 
@@ -402,24 +454,25 @@ def group_norm_input_vjp(
     xhat: np.ndarray, inv_std: np.ndarray, p: GroupNormParams, cotangent: np.ndarray
 ) -> np.ndarray:
     """Adjoint w.r.t. the input given the saved normalization statistics."""
-    d_xhat = (cotangent * p.scale[:, None, None]).reshape(p.num_groups, -1)
-    xhat_g = xhat.reshape(p.num_groups, -1)
-    mean_d = d_xhat.mean(axis=1, keepdims=True)
-    mean_dx = (d_xhat * xhat_g).mean(axis=1, keepdims=True)
-    dx = inv_std[:, None] * (d_xhat - mean_d - xhat_g * mean_dx)
+    grouped = xhat.shape[:-3] + (p.num_groups, -1)
+    d_xhat = (cotangent * p.scale[:, None, None]).reshape(grouped)
+    xhat_g = xhat.reshape(grouped)
+    mean_d = d_xhat.mean(axis=-1, keepdims=True)
+    mean_dx = (d_xhat * xhat_g).mean(axis=-1, keepdims=True)
+    dx = inv_std[..., None] * (d_xhat - mean_d - xhat_g * mean_dx)
     return dx.reshape(xhat.shape)
 
 
 def group_norm_vjp(
     x: np.ndarray, p: GroupNormParams, cotangent: np.ndarray
 ) -> tuple[np.ndarray, GroupNormGrads]:
-    x = _check_3d(x, "group_norm input")
-    cotangent = _check_3d(cotangent, "group_norm cotangent")
+    x = check_maps(x, "group_norm input")
+    cotangent = check_maps(cotangent, "group_norm cotangent")
     if cotangent.shape != x.shape:
         raise ShapeError(f"cotangent shape {cotangent.shape} != input shape {x.shape}")
     xhat, inv_std = _group_stats(x, p)
-    d_scale = (cotangent * xhat).sum(axis=(1, 2))
-    d_shift = cotangent.sum(axis=(1, 2))
+    d_scale = _channel_sum(cotangent * xhat)
+    d_shift = _channel_sum(cotangent)
     dx = group_norm_input_vjp(xhat, inv_std, p, cotangent)
     return dx, GroupNormGrads(d_scale, d_shift)
 

@@ -73,7 +73,8 @@ def broyden_solve(
     residual_trace[k] is the relative residual |g(x_k)| / (|x_k| + 1e-9) at
     iterate k; entry 0 is the starting point, so at most max_iters update
     steps append entries 1..max_iters. The returned root is the iterate with
-    the smallest recorded relative residual.
+    the smallest recorded relative residual. The solve stops as diverged
+    when the absolute residual |g(x_k)| outgrows divergence_factor * |g(x0)|.
     """
     shape = x0.shape
     x = np.asarray(x0, dtype=np.float64).reshape(-1).copy()
@@ -107,7 +108,9 @@ def broyden_solve(
     best_iter = 0
     best_x = x.copy()
     note = ""
-    initial = trace[0]
+    # the relative residual at x0 = 0 is |g| / 1e-9, so divergence is
+    # measured on the absolute residual
+    runaway = cfg.divergence_factor * float(np.sqrt(g @ g))
 
     for _ in range(cfg.max_iters):
         if trace[best_iter] < cfg.rel_tol:
@@ -126,13 +129,14 @@ def broyden_solve(
         delta_x = x_new - x
         delta_g = g_new - g
         x, g = x_new, g_new
-        if rel > cfg.divergence_factor * max(initial, _REL_EPS):
+        g_norm = float(np.sqrt(g @ g))
+        if g_norm > runaway:
             note = f"residual diverged at step {len(trace) - 1}"
             break
         # rank-one inverse-Jacobian correction: B += (dx - B dg) (dx^T B) / (dx^T B dg)
         # a delta_g at rounding-noise scale carries no secant information and
         # would put noise-amplified rank-one terms into B, so skip it
-        g_scale = float(np.sqrt(g @ g)) + float(np.sqrt(delta_g @ delta_g))
+        g_scale = g_norm + float(np.sqrt(delta_g @ delta_g))
         if np.sqrt(delta_g @ delta_g) <= 1e-12 * g_scale:
             continue
         bdg = apply_b(delta_g)
@@ -165,7 +169,8 @@ def fixed_point_iterate(
 ) -> tuple[np.ndarray, list[float]]:
     """n applications of map_fn with the successive-difference norm trace.
 
-    Raises DivergenceError (with the step index) on a non-finite iterate.
+    Raises DivergenceError (with the step index) on a non-finite iterate or
+    a step whose norm overflows.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -175,6 +180,10 @@ def fixed_point_iterate(
         x_next = map_fn(x)
         if not np.all(np.isfinite(x_next)):
             raise DivergenceError(f"fixed-point iterate non-finite at step {i}", step=i)
-        trace.append(float(np.linalg.norm(x_next - x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = float(np.linalg.norm(x_next - x))
+        if not np.isfinite(step):
+            raise DivergenceError(f"fixed-point step norm non-finite at step {i}", step=i)
+        trace.append(step)
         x = x_next
     return x, trace

@@ -2,9 +2,11 @@
 
 The loop is single threaded and bit-deterministic for a fixed seed: batch
 order comes from a counter-based stream, parameter initialization from split
-substreams, and all arithmetic is float64. The implicit strategy trains
-through ifr_forward / ifr_backward; the explicit and unrolled strategies
-backpropagate through their finite computation graphs.
+substreams, and all arithmetic is float64. Each iteration makes one batched
+(N, C, H, W) forward and backward pass. The implicit strategy trains through
+per-sample ifr_forward / ifr_backward solves; the explicit and unrolled
+strategies backpropagate through their finite computation graphs, and every
+strategy runs the mask predictor once over the batch.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ import numpy as np
 
 from . import blocks
 from .blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig, HeadGrads, HeadParams
-from .data import Sample
+from .data import Sample, samples_to_tensors
 from .implicit import ifr_backward, ifr_forward
-from .ops import ShapeError, floor_direction_norms
+from .ops import ShapeError, as_batch, floor_direction_norms
 from .rng import CounterRng
 from .solver import SolverConfig
 
@@ -27,6 +29,11 @@ _INIT_TAG = 11
 _BATCH_TAG = 23
 
 GRAD_CLIP_NORM = 10.0
+
+# evaluate runs its refine and predictor passes over chunks of this many
+# samples; a larger chunk is faster per sample but holds more memory, and 8
+# keeps the peak at that of a training batch of 8
+EVAL_CHUNK = 8
 
 
 class TrainingAbortedError(RuntimeError):
@@ -99,12 +106,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def bce_mask_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean per-pixel binary cross-entropy with logits; returns (loss, dLogits)."""
+    """Mean per-pixel binary cross-entropy with logits; returns (loss, dLogits).
+
+    The mean is over one sample's (classes, H, W) pixels. With a leading
+    batch axis the loss is the sum of the per-sample means.
+    """
     if logits.shape != target.shape:
         raise ShapeError(f"logits shape {logits.shape} != target shape {target.shape}")
     if not np.all((target == 0.0) | (target == 1.0)):
         raise ValueError("target entries must be exactly 0 or 1")
-    n = logits.size
+    n = int(np.prod(logits.shape[-3:]))
     # log(1 + e^z) - z t, computed as max(z,0) - z t + log1p(e^-|z|)
     per_pixel = np.maximum(logits, 0.0) - logits * target + np.log1p(np.exp(-np.abs(logits)))
     loss = float(per_pixel.sum() / n)
@@ -224,49 +235,65 @@ def solver_config_for(head_cfg: HeadConfig, base: Optional[SolverConfig]) -> Sol
     return cfg
 
 
+def _stack(samples: list[Sample]) -> Sample:
+    """Samples as one batch: features (N, C, H, W), masks (N, classes, 2H, 2W)."""
+    tensors = samples_to_tensors(samples)
+    return Sample(tensors["features"], tensors["masks"])
+
+
 def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, x):
-    """Returns (refined, ctx, converged, diverged)."""
+    """Returns (refined, ctx, converged, diverged), the last two as sample counts."""
+    n = len(as_batch(x))
     if cfg.strategy == EXPLICIT:
         h, tapes = blocks.stacked_head_tapes(params.stages, x)
-        return (x.copy() if not params.stages else h), tapes, True, False
+        return (x.copy() if not params.stages else h), tapes, n, 0
     if cfg.strategy == UNROLLED:
         h, tapes = blocks.stacked_head_tapes([params.stages[0]] * cfg.depth_or_budget, x)
-        return h, tapes, True, False
-    rec = ifr_forward(params.stages[0], x, solver_cfg)
-    diverged = bool(rec.forward_result.note)
-    return rec.equilibrium, rec, rec.forward_result.converged, diverged
+        return h, tapes, n, 0
+    recs = [ifr_forward(params.stages[0], xi, solver_cfg) for xi in as_batch(x)]
+    h = np.stack([rec.equilibrium for rec in recs]).reshape(x.shape)
+    converged = sum(rec.forward_result.converged for rec in recs)
+    diverged = sum(bool(rec.forward_result.note) for rec in recs)
+    return h, recs, converged, diverged
 
 
 def _refine_vjp(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, ctx, x, d_h):
-    """Returns (stage_grads, dx, adjoint_converged)."""
+    """Returns (stage_grads, adjoint_unconverged), summed and counted over the samples."""
     if cfg.strategy == EXPLICIT:
-        dx, stage_grads = blocks.stacked_head_vjp(params.stages, x, d_h, tapes=ctx)
-        return stage_grads, dx, True
+        _, stage_grads = blocks.stacked_head_vjp(params.stages, x, d_h, tapes=ctx)
+        return stage_grads, 0
     if cfg.strategy == UNROLLED:
-        dx, grads = blocks.unrolled_shared_vjp(
+        _, grads = blocks.unrolled_shared_vjp(
             params.stages[0], x, cfg.depth_or_budget, d_h, tapes=ctx
         )
-        return [grads], dx, True
-    result = ifr_backward(ctx, d_h, solver_cfg)
-    return [result.d_params], result.d_x, result.adjoint_result.converged
+        return [grads], 0
+    total, unconverged = blocks.zero_block_grads(params.stages[0]), 0
+    for rec, upstream in zip(ctx, as_batch(d_h)):
+        result = ifr_backward(rec, upstream, solver_cfg)
+        total.iadd(result.d_params)
+        unconverged += not result.adjoint_result.converged
+    return [total], unconverged
 
 
 def sample_loss_and_grads(
     params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, sample: Sample
-) -> tuple[float, HeadGrads, bool, bool]:
-    """Forward + backward for one sample: (loss, grads, converged, diverged).
+) -> tuple[float, HeadGrads, int, int]:
+    """Forward + backward for one sample or a batch: (loss, grads, converged, diverged).
 
-    converged is the forward solve's status; grads.adjoint_converged is the
-    adjoint solve's (both are True for the finite-depth strategies).
+    sample holds one (C, H, W) feature and its mask, or a batch of them
+    along a leading axis (see _stack). The loss and the gradients are sums
+    over the batch. converged and diverged count its forward solves, and
+    grads.adjoint_unconverged its adjoint solves that stopped short of their
+    tolerance; a finite-depth strategy counts every sample as converged.
     """
     h, ctx, converged, diverged = _refine_forward(params, cfg, solver_cfg, sample.feature)
     logits = blocks.mask_predictor_forward(params.predictor, h)
     loss, d_logits = bce_mask_loss(logits, sample.mask)
     d_h, pred_grads = blocks.mask_predictor_vjp(params.predictor, h, d_logits)
-    stage_grads, _, adjoint_converged = _refine_vjp(
+    stage_grads, adjoint_unconverged = _refine_vjp(
         params, cfg, solver_cfg, ctx, sample.feature, d_h
     )
-    return loss, HeadGrads(stage_grads, pred_grads, adjoint_converged), converged, diverged
+    return loss, HeadGrads(stage_grads, pred_grads, adjoint_unconverged), converged, diverged
 
 
 def init_train_state(
@@ -294,17 +321,19 @@ def evaluate(state: TrainState, dataset: list[Sample]) -> EvalMetrics:
     if state.head_cfg is None or state.solver_cfg is None:
         raise ValueError("train state carries no head/solver configuration")
     iou_total = acc_total = loss_total = 0.0
-    for sample in dataset:
-        h, _, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg, sample.feature)
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        chunk = _stack(dataset[start : start + EVAL_CHUNK])
+        h, _, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg, chunk.feature)
         logits = blocks.mask_predictor_forward(state.params.predictor, h)
-        loss, _ = bce_mask_loss(logits, sample.mask)
-        loss_total += loss
-        pred = logits > 0.0
-        truth = sample.mask > 0.5
-        inter = float(np.sum(pred & truth))
-        union = float(np.sum(pred | truth))
-        iou_total += 1.0 if union == 0 else inter / union
-        acc_total += float(np.mean(pred == truth))
+        for sample_logits, mask in zip(logits, chunk.mask):
+            loss, _ = bce_mask_loss(sample_logits, mask)
+            loss_total += loss
+            pred = sample_logits > 0.0
+            truth = mask > 0.5
+            inter = float(np.sum(pred & truth))
+            union = float(np.sum(pred | truth))
+            iou_total += 1.0 if union == 0 else inter / union
+            acc_total += float(np.mean(pred == truth))
     n = len(dataset)
     return EvalMetrics(iou_total / n, acc_total / n, loss_total / n)
 
@@ -349,30 +378,22 @@ def train(
 
     for it in range(train_cfg.total_iters):
         lr = lr_at(train_cfg, it)
-        idx = batch_rng.integers(0, n_train, (train_cfg.batch_size,))
-        total_grads: Optional[HeadGrads] = None
-        batch_loss = 0.0
-        for j in np.atleast_1d(idx):
-            loss, grads, converged, diverged = sample_loss_and_grads(
-                state.params, head_cfg, solver, train_set[int(j)]
-            )
-            batch_loss += loss
-            window_solves += 1
-            window_converged += int(converged)
-            window_diverged += int(diverged)
-            run_solves += 1
-            run_forward_converged += int(converged)
-            run_adjoint_converged += int(grads.adjoint_converged)
-            if total_grads is None:
-                total_grads = grads
-            else:
-                total_grads.iadd(grads)
-        assert total_grads is not None
-        batch_loss /= train_cfg.batch_size
-        for _, arr in total_grads.leaf_items():
+        idx = np.atleast_1d(batch_rng.integers(0, n_train, (train_cfg.batch_size,)))
+        batch = _stack([train_set[int(j)] for j in idx])
+        loss, grads, converged, diverged = sample_loss_and_grads(
+            state.params, head_cfg, solver, batch
+        )
+        window_solves += len(idx)
+        window_converged += converged
+        window_diverged += diverged
+        run_solves += len(idx)
+        run_forward_converged += converged
+        run_adjoint_converged += len(idx) - grads.adjoint_unconverged
+        batch_loss = loss / train_cfg.batch_size
+        for _, arr in grads.leaf_items():
             arr /= train_cfg.batch_size
-        clip_global_norm(total_grads, GRAD_CLIP_NORM)
-        sgd_step(state, total_grads, lr)
+        clip_global_norm(grads, GRAD_CLIP_NORM)
+        sgd_step(state, grads, lr)
         state.iteration = it + 1
         state.loss_history.append(batch_loss)
         window_losses.append(batch_loss)

@@ -18,6 +18,11 @@ def rand(seed: int, shape):
     return CounterRng(seed).normal(shape)
 
 
+def max_rel(a, b) -> float:
+    """Largest |a - b| relative to the largest |b|."""
+    return float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-300))
+
+
 # --- desk-scale experiment preset (shared by training tests, CLI, acceptance)
 
 GRID_CHANNELS = 8

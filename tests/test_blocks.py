@@ -30,7 +30,7 @@ from ifr.blocks import (
 from ifr.ops import ConvParams, GroupNormParams, ShapeError, finite_difference_grad
 from ifr.rng import CounterRng
 
-from conftest import rand
+from conftest import max_rel, rand
 
 
 def zero_block(channels=4, shortcut_conv=False, residual=True) -> DoubleResidualParams:
@@ -358,3 +358,50 @@ def test_head_config_validation():
         HeadConfig(strategy=IMPLICIT, depth_or_budget=-1)
     with pytest.raises(ValueError):
         HeadConfig(strategy=IMPLICIT, depth_or_budget=15, channels=10, channel_multiplier=1 / 4)
+
+
+# ---------------------------------------------------------------------------
+# leading batch axis
+
+
+@pytest.mark.parametrize("shortcut_conv", [True, False])
+def test_batched_block_forward_and_vjp_match_per_sample(shortcut_conv):
+    p = small_block(seed=40, shortcut_conv=shortcut_conv)
+    x, h = rand(41, (5, 4, 6, 6)), rand(42, (5, 4, 6, 6))
+    out, tape = blocks.block_forward_tape(p, h, x)
+    per = [blocks.block_forward_tape(p, hi, xi) for hi, xi in zip(h, x)]
+    assert max_rel(out, np.stack([o for o, _ in per])) < 1e-12
+    assert np.array_equal(double_residual_forward(p, h, x), out)
+    cot = rand(43, out.shape)
+    d_r, grads = blocks.block_vjp_from_tape(p, tape, cot)
+    per_vjp = [blocks.block_vjp_from_tape(p, t, ci) for (_, t), ci in zip(per, cot)]
+    assert max_rel(d_r, np.stack([d for d, _ in per_vjp])) < 1e-12
+    d_r_only, none = blocks.block_vjp_from_tape(p, tape, cot, want_params=False)
+    assert none is None and max_rel(d_r_only, d_r) < 1e-12
+    batched = dict(grads.leaf_items())
+    for name, arr in batched.items():
+        summed = sum(dict(g.leaf_items())[name] for _, g in per_vjp)
+        assert np.abs(arr - summed).max() <= 1e-12 * max(np.abs(summed).max(), 1.0), name
+
+
+def test_batched_predictor_forward_and_vjp_match_per_sample():
+    p = init_mask_predictor(CounterRng(44), 4, 2)
+    h = rand(45, (5, 4, 6, 6))
+    logits = mask_predictor_forward(p, h)
+    assert logits.shape == (5, 2, 12, 12)
+    assert max_rel(logits, np.stack([mask_predictor_forward(p, hi) for hi in h])) < 1e-12
+    cot = rand(46, logits.shape)
+    d_h, grads = mask_predictor_vjp(p, h, cot)
+    per = [mask_predictor_vjp(p, hi, ci) for hi, ci in zip(h, cot)]
+    assert max_rel(d_h, np.stack([d for d, _ in per])) < 1e-12
+    for name, arr in grads.leaf_items():
+        summed = sum(dict(g.leaf_items())[name] for _, g in per)
+        assert max_rel(arr, summed) < 1e-12, name
+
+
+def test_batched_stack_rejects_a_non_finite_sample():
+    p = small_block(seed=47)
+    x = rand(48, (3, 4, 6, 6))
+    x[2, 1, 0, 0] = np.nan
+    with pytest.raises(ops.NonFiniteError):
+        stacked_head_forward([p, p], x)

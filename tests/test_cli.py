@@ -12,6 +12,7 @@ from ifr.blocks import init_head
 from ifr.checkpoint import load_checkpoint, save_checkpoint
 from ifr.cli import load_experiment_config, main
 from ifr.data import load_container, save_container
+from ifr.gradcheck import run_grad_check
 from ifr.rng import CounterRng
 
 
@@ -218,6 +219,19 @@ def test_grad_check_ok_and_negative_control(capsys):
     out = capsys.readouterr().out
     assert "OK" in out
     assert main(["grad-check", "--trials", "1", "--break-vjp"]) == 2
+
+
+def test_grad_check_reports_adjoint_convergence(capsys):
+    assert main(["grad-check", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = run_grad_check(trials=2)
+    assert result.adjoint_solves == 2
+    assert lines[2] == (
+        f"adjoint solves converged: {result.adjoint_converged}/2 (rel_tol 1e-10, budget 15)"
+    )
+    assert lines[0].startswith("max rel error vs finite differences:")
+    assert lines[1].startswith("max rel error vs unroll backprop:")
+    assert lines[3] == "OK"
 
 
 def test_grad_check_zero_trials_is_config_error():

@@ -26,7 +26,7 @@ from ifr.ops import (
 )
 from ifr.rng import CounterRng
 
-from conftest import rand
+from conftest import max_rel, rand
 
 
 # ---------------------------------------------------------------------------
@@ -389,3 +389,63 @@ def test_operations_are_pure_and_deterministic():
     b = conv2d(x, p, 1, 1)
     assert np.array_equal(a, b)
     assert np.array_equal(x, x_copy)
+
+
+# ---------------------------------------------------------------------------
+# leading batch axis
+
+
+@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 1, 3), (1, 0, 1), (2, 0, 2)])
+def test_batched_conv_ops_match_stacked_per_sample_results(stride, padding, k):
+    x = rand(200 + k, (5, 3, 7, 7))
+    p = plain_conv(4, 3, k, seed=201 + stride, weight_norm=True)
+    out = conv2d(x, p, stride, padding)
+    assert max_rel(out, np.stack([conv2d(xi, p, stride, padding) for xi in x])) < 1e-12
+    cot = rand(202, out.shape)
+    dx, grads = conv2d_vjp(x, p, stride, padding, cot)
+    per = [conv2d_vjp(xi, p, stride, padding, ci) for xi, ci in zip(x, cot)]
+    assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
+    for leaf in ("direction", "gain", "bias"):
+        summed = sum(getattr(g, leaf) for _, g in per)
+        assert max_rel(getattr(grads, leaf), summed) < 1e-12
+    kernel = effective_kernel(p)
+    dx_only = ops.conv2d_input_vjp(kernel, x.shape, stride, padding, cot)
+    assert max_rel(dx_only, dx) < 1e-12
+
+
+def test_batched_group_norm_and_deconv_match_stacked_per_sample_results():
+    x = rand(210, (5, 4, 6, 6))
+    gn = GroupNormParams(2, rand(211, (4,)) * 0.4 + 1.0, rand(212, (4,)) * 0.2)
+    out = group_norm(x, gn)
+    assert max_rel(out, np.stack([group_norm(xi, gn) for xi in x])) < 1e-12
+    cot = rand(213, x.shape)
+    dx, grads = group_norm_vjp(x, gn, cot)
+    per = [group_norm_vjp(xi, gn, ci) for xi, ci in zip(x, cot)]
+    assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
+    assert max_rel(grads.scale, sum(g.scale for _, g in per)) < 1e-12
+    assert max_rel(grads.shift, sum(g.shift for _, g in per)) < 1e-12
+
+    p = plain_conv(3, 4, 2, seed=214, weight_norm=True)
+    out = deconv2x2(x, p)
+    assert out.shape == (5, 3, 12, 12)
+    assert max_rel(out, np.stack([deconv2x2(xi, p) for xi in x])) < 1e-12
+    cot = rand(215, out.shape)
+    dx, grads = deconv2x2_vjp(x, p, cot)
+    per = [deconv2x2_vjp(xi, p, ci) for xi, ci in zip(x, cot)]
+    assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
+    for leaf in ("direction", "gain", "bias"):
+        assert max_rel(getattr(grads, leaf), sum(getattr(g, leaf) for _, g in per)) < 1e-12
+
+
+def test_ops_reject_maps_without_three_or_four_axes():
+    p = plain_conv(2, 3, 3, seed=216)
+    with pytest.raises(ShapeError):
+        conv2d(rand(217, (3, 5)), p, 1, 1)
+    with pytest.raises(ShapeError):
+        conv2d(rand(218, (1, 2, 3, 5, 5)), p, 1, 1)
+    with pytest.raises(ShapeError):
+        deconv2x2(rand(219, (3, 5)), plain_conv(2, 3, 2, seed=220))
+    batch = rand(221, (2, 3, 5, 5))
+    batch[1, 0, 0, 0] = np.inf
+    with pytest.raises(NonFiniteError):
+        conv2d(batch, p, 1, 1)

@@ -1,6 +1,8 @@
 """Broyden solver and fixed-point iterator against closed forms and the
 long fixed-point oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,25 @@ def test_fixed_point_contraction_ratio_bound(lipschitz):
 
 
 def test_fixed_point_nonfinite_aborts_with_step():
+    # the first iterate (1e200, 1e200) is finite but its step norm overflows,
+    # so the iteration stops at step 0 rather than recording an inf step
     with pytest.raises(DivergenceError) as err:
         fixed_point_iterate(lambda v: v * 1e200, np.ones(2), 10)
-    assert err.value.step == 1
+    assert err.value.step == 0
+
+
+def test_broyden_runaway_residual_stops_as_diverged():
+    # g(x) = 1e4 x^2 + 1 has no root; the first step from x0 = 0 lands where
+    # |g| is 1e4 times |g(x0)|, past the default divergence factor of 1e3
+    res = broyden_solve(lambda v: 1e4 * v * v + 1.0, np.zeros(4), SolverConfig())
+    assert res.note == "residual diverged at step 1"
+    assert not res.converged
+    assert res.iterations_used == 2
+
+
+def test_fixed_point_step_norm_overflow_raises_at_that_step():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            fixed_point_iterate(lambda v: 1e8 * v, np.full(1, 1e300), 1)
+    assert err.value.step == 0

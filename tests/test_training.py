@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ifr import data, solver, training
-from ifr.blocks import EXPLICIT, IMPLICIT, HeadConfig
+from ifr import blocks, data, solver, training
+from ifr.blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig
+from ifr.gradcheck import guarded_max_rel_error
 from ifr.ops import finite_difference_grad
 from ifr.training import (
     OffEquilibriumWarning,
@@ -248,3 +249,74 @@ def test_train_converged_implicit_head_does_not_warn(grid_dataset):
         _, metrics = train(grid_head(IMPLICIT, 15), cfg, grid_dataset[:40], solver_cfg=loose,
                            log_every=2)
     assert all(m["solver_converged_frac"] == 1.0 for m in metrics)
+
+
+# ---------------------------------------------------------------------------
+# batched passes
+
+
+@pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 2), (UNROLLED, 3), (IMPLICIT, 15)])
+def test_batched_grads_are_the_sum_of_single_sample_grads(grid_dataset, strategy, depth):
+    state = init_train_state(grid_head(strategy, depth), grid_train_cfg(), GRID_SOLVER)
+    samples = grid_dataset[:5]
+    batch = training._stack(samples)
+    loss, grads, converged, diverged = training.sample_loss_and_grads(
+        state.params, state.head_cfg, state.solver_cfg, batch
+    )
+    singles = [
+        training.sample_loss_and_grads(state.params, state.head_cfg, state.solver_cfg, s)
+        for s in samples
+    ]
+    assert loss == pytest.approx(sum(r[0] for r in singles), rel=1e-12)
+    assert converged == sum(r[2] for r in singles)
+    assert diverged == sum(r[3] for r in singles)
+    assert grads.adjoint_unconverged == sum(r[1].adjoint_unconverged for r in singles)
+    summed = {}
+    for _, g, _, _ in singles:
+        for name, arr in g.leaf_items():
+            summed[name] = summed.get(name, 0.0) + arr
+    batched = dict(grads.leaf_items())
+    assert batched.keys() == summed.keys()
+    # re-associated float64 sums: a coordinate where the per-sample terms
+    # cancel keeps an absolute error near 1e-17, which the guard's floor
+    # (1e-6 of the largest gradient) turns into a few 1e-11
+    assert guarded_max_rel_error(batched, summed) <= 1e-10
+
+
+def test_evaluate_scores_each_sample_on_its_own_logits(grid_dataset, monkeypatch):
+    state = init_train_state(grid_head(UNROLLED, 2), grid_train_cfg(), GRID_SOLVER)
+    samples = grid_dataset[: 2 * training.EVAL_CHUNK + 3]
+    calls = []
+    original = training.bce_mask_loss
+
+    def recording(logits, target):
+        calls.append((logits, target))
+        return original(logits, target)
+
+    monkeypatch.setattr(training, "bce_mask_loss", recording)
+    metrics = evaluate(state, samples)
+    assert len(calls) == len(samples)
+    for (logits, target), sample in zip(calls, samples):
+        assert logits.shape == sample.mask.shape and np.array_equal(target, sample.mask)
+        h = blocks.stacked_head_forward([state.params.stages[0]] * 2, sample.feature)
+        single = blocks.mask_predictor_forward(state.params.predictor, h)
+        assert np.abs(logits - single).max() <= 1e-12 * np.abs(single).max()
+    monkeypatch.undo()
+    chunks = [samples[i : i + training.EVAL_CHUNK]
+              for i in range(0, len(samples), training.EVAL_CHUNK)]
+    parts = [evaluate(state, chunk) for chunk in chunks]
+    for field in ("mean_iou", "pixel_accuracy", "mean_loss"):
+        by_chunk = sum(getattr(m, field) * len(c) for m, c in zip(parts, chunks)) / len(samples)
+        assert getattr(metrics, field) == pytest.approx(by_chunk, rel=1e-12)
+
+
+@pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 2), (UNROLLED, 2)])
+def test_batched_train_is_bit_deterministic(grid_dataset, strategy, depth):
+    cfg = grid_train_cfg(total_iters=8, decay_points=(), warmup_iters=2)
+    head = grid_head(strategy, depth)
+    s1, m1 = train(head, cfg, grid_dataset[:40], solver_cfg=GRID_SOLVER, log_every=4)
+    s2, m2 = train(head, cfg, grid_dataset[:40], solver_cfg=GRID_SOLVER, log_every=4)
+    assert s1.loss_history == s2.loss_history
+    assert m1 == m2
+    for (n1, a1), (n2, a2) in zip(s1.params.leaf_items(), s2.params.leaf_items()):
+        assert n1 == n2 and np.array_equal(a1, a2)
