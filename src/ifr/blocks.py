@@ -7,7 +7,9 @@ independent per-stage parameters, a weight-shared unroll of N steps, and the
 implicit equilibrium head (see `ifr.implicit`). All backward passes are exact
 compositions of the op-level VJPs in `ifr.ops`. Features carry the optional
 leading batch axis of `ifr.ops`, (N, C, H, W); the parameter gradients of a
-batch are the sums of its samples' gradients.
+batch are the sums of its samples' gradients. A gradient is an `ops.Grads`
+keyed like its record's `leaf_items()`: a block's by "w1.direction",
+"gn2.shift", ..., a head's by "stage0.w1.direction", "predictor.proj.bias".
 """
 
 from __future__ import annotations
@@ -18,14 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import ops
-from .ops import (
-    ConvGrads,
-    ConvParams,
-    GroupNormGrads,
-    GroupNormParams,
-    ShapeError,
-    default_group_count,
-)
+from .ops import ConvParams, Grads, GroupNormParams, ShapeError, default_group_count
 from .rng import CounterRng
 from .solver import DivergenceError, fixed_point_iterate
 
@@ -40,6 +35,21 @@ SHORTCUT_CONV = "conv1x1"
 
 # ---------------------------------------------------------------------------
 # parameter records
+#
+# A composite record names its parts once, in a *_parts function that its
+# leaf_items() and the matching gradient constructor share.
+
+
+def _block_parts(w1, gn1, w2, gn2, shortcut):
+    return [("w1.", w1), ("gn1.", gn1), ("w2.", w2), ("gn2.", gn2), ("shortcut.", shortcut)]
+
+
+def _predictor_parts(deconv, proj):
+    return [("deconv.", deconv), ("proj.", proj)]
+
+
+def _head_parts(stages, predictor):
+    return [(f"stage{i}.", stage) for i, stage in enumerate(stages)] + [("predictor.", predictor)]
 
 
 @dataclass
@@ -78,37 +88,8 @@ class DoubleResidualParams:
         return self.w1.out_channels
 
     def leaf_items(self, prefix: str = ""):
-        yield from self.w1.leaf_items(prefix + "w1.")
-        yield from self.gn1.leaf_items(prefix + "gn1.")
-        yield from self.w2.leaf_items(prefix + "w2.")
-        yield from self.gn2.leaf_items(prefix + "gn2.")
-        if self.shortcut is not None:
-            yield from self.shortcut.leaf_items(prefix + "shortcut.")
-
-
-@dataclass
-class DoubleResidualGrads:
-    w1: ConvGrads
-    gn1: GroupNormGrads
-    w2: ConvGrads
-    gn2: GroupNormGrads
-    shortcut: Optional[ConvGrads] = None
-
-    def leaf_items(self, prefix: str = ""):
-        yield from self.w1.leaf_items(prefix + "w1.")
-        yield from self.gn1.leaf_items(prefix + "gn1.")
-        yield from self.w2.leaf_items(prefix + "w2.")
-        yield from self.gn2.leaf_items(prefix + "gn2.")
-        if self.shortcut is not None:
-            yield from self.shortcut.leaf_items(prefix + "shortcut.")
-
-    def iadd(self, other: "DoubleResidualGrads") -> None:
-        self.w1.iadd(other.w1)
-        self.gn1.iadd(other.gn1)
-        self.w2.iadd(other.w2)
-        self.gn2.iadd(other.gn2)
-        if self.shortcut is not None and other.shortcut is not None:
-            self.shortcut.iadd(other.shortcut)
+        parts = _block_parts(self.w1, self.gn1, self.w2, self.gn2, self.shortcut)
+        return ops.nested_leaf_items(prefix, parts)
 
 
 @dataclass
@@ -119,18 +100,7 @@ class MaskPredictorParams:
     proj: ConvParams
 
     def leaf_items(self, prefix: str = ""):
-        yield from self.deconv.leaf_items(prefix + "deconv.")
-        yield from self.proj.leaf_items(prefix + "proj.")
-
-
-@dataclass
-class MaskPredictorGrads:
-    deconv: ConvGrads
-    proj: ConvGrads
-
-    def leaf_items(self, prefix: str = ""):
-        yield from self.deconv.leaf_items(prefix + "deconv.")
-        yield from self.proj.leaf_items(prefix + "proj.")
+        return ops.nested_leaf_items(prefix, _predictor_parts(self.deconv, self.proj))
 
 
 @dataclass
@@ -141,23 +111,12 @@ class HeadParams:
     predictor: MaskPredictorParams
 
     def leaf_items(self, prefix: str = ""):
-        for i, stage in enumerate(self.stages):
-            yield from stage.leaf_items(f"{prefix}stage{i}.")
-        yield from self.predictor.leaf_items(prefix + "predictor.")
+        return ops.nested_leaf_items(prefix, _head_parts(self.stages, self.predictor))
 
 
-@dataclass
-class HeadGrads:
-    stages: list[DoubleResidualGrads]
-    predictor: MaskPredictorGrads
-    # the implicit adjoint solves behind these gradients that stopped short
-    # of their tolerance: their terms are not the exact IFT gradients
-    adjoint_unconverged: int = 0
-
-    def leaf_items(self, prefix: str = ""):
-        for i, stage in enumerate(self.stages):
-            yield from stage.leaf_items(f"{prefix}stage{i}.")
-        yield from self.predictor.leaf_items(prefix + "predictor.")
+def head_grads(stage_grads: Sequence[Grads], predictor_grads: Grads) -> Grads:
+    """A head's gradient from those of its stages and its predictor."""
+    return Grads(ops.nested_leaf_items("", _head_parts(stage_grads, predictor_grads)))
 
 
 @dataclass
@@ -303,21 +262,6 @@ def init_head(rng: CounterRng, cfg: HeadConfig) -> HeadParams:
     return HeadParams(stages, init_mask_predictor(rng.split(10_000), cfg.channels, cfg.predictor_classes))
 
 
-def zero_conv_grads(p: ConvParams) -> ConvGrads:
-    gain = np.zeros_like(p.gain) if p.weight_norm_enabled else None
-    return ConvGrads(np.zeros_like(p.direction), gain, np.zeros_like(p.bias))
-
-
-def zero_block_grads(p: DoubleResidualParams) -> DoubleResidualGrads:
-    return DoubleResidualGrads(
-        w1=zero_conv_grads(p.w1),
-        gn1=GroupNormGrads(np.zeros_like(p.gn1.scale), np.zeros_like(p.gn1.shift)),
-        w2=zero_conv_grads(p.w2),
-        gn2=GroupNormGrads(np.zeros_like(p.gn2.scale), np.zeros_like(p.gn2.shift)),
-        shortcut=None if p.shortcut is None else zero_conv_grads(p.shortcut),
-    )
-
-
 # ---------------------------------------------------------------------------
 # block forward/backward
 
@@ -390,7 +334,7 @@ def block_vjp_from_tape(
     tape: BlockTape,
     cotangent: np.ndarray,
     want_params: bool = True,
-) -> tuple[np.ndarray, Optional[DoubleResidualGrads]]:
+) -> tuple[np.ndarray, Optional[Grads]]:
     """Adjoint of the block given saved intermediates.
 
     Returns (dR, grads); the adjoints w.r.t. h and x both equal dR because
@@ -422,15 +366,12 @@ def block_vjp_from_tape(
             d_r = d_r + d_r_s
     if not want_params:
         return d_r, None
-    gn1_g = ops.GroupNormGrads(
-        ops._channel_sum(d_g1 * tape.xhat1), ops._channel_sum(d_g1)
-    )
-    gn2_g = ops.GroupNormGrads(
-        ops._channel_sum(cotangent * tape.xhat2), ops._channel_sum(cotangent)
-    )
+    gn1_g = ops.group_norm_param_grads(tape.xhat1, d_g1)
+    gn2_g = ops.group_norm_param_grads(tape.xhat2, cotangent)
     if p.shortcut is not None and shortcut_g is None:
-        shortcut_g = zero_conv_grads(p.shortcut)
-    return d_r, DoubleResidualGrads(w1_g, gn1_g, w2_g, gn2_g, shortcut_g)
+        shortcut_g = Grads.zeros_like(p.shortcut)
+    parts = _block_parts(w1_g, gn1_g, w2_g, gn2_g, shortcut_g)
+    return d_r, Grads(ops.nested_leaf_items("", parts))
 
 
 def double_residual_forward(
@@ -452,7 +393,7 @@ def block_apply_factory(p: DoubleResidualParams, x: np.ndarray):
 
 def double_residual_vjp(
     p: DoubleResidualParams, h: np.ndarray, x: np.ndarray, cotangent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, DoubleResidualGrads]:
+) -> tuple[np.ndarray, np.ndarray, Grads]:
     """Exact adjoints of double_residual_forward w.r.t. h, x and parameters."""
     out, tape = block_forward_tape(p, h, x)
     if cotangent.shape != out.shape:
@@ -510,7 +451,7 @@ def stacked_head_vjp(
     x: np.ndarray,
     cotangent: np.ndarray,
     tapes=None,
-) -> tuple[np.ndarray, list[DoubleResidualGrads]]:
+) -> tuple[np.ndarray, list[Grads]]:
     if not params:
         return cotangent.copy(), []
     if tapes is None:
@@ -537,17 +478,17 @@ def unrolled_shared_vjp(
     n: int,
     cotangent: np.ndarray,
     tapes=None,
-) -> tuple[np.ndarray, DoubleResidualGrads]:
+) -> tuple[np.ndarray, Grads]:
     """Backpropagation through the n-step unroll, accumulating shared grads.
 
     tapes are those of stacked_head_tapes([p] * n, x); the shared gradient
     sums the per-step gradients as they are made, last step first.
     """
     if n == 0:
-        return np.zeros_like(x), zero_block_grads(p)
+        return np.zeros_like(x), Grads.zeros_like(p)
     if tapes is None:
         _, tapes = stacked_head_tapes([p] * n, x)
-    dx_total, total = np.zeros_like(x), zero_block_grads(p)
+    dx_total, total = np.zeros_like(x), Grads.zeros_like(p)
     for d_r, grads in _stack_backward([p] * n, tapes, cotangent):
         dx_total += d_r
         total.iadd(grads)
@@ -566,13 +507,13 @@ def mask_predictor_forward(p: MaskPredictorParams, h: np.ndarray) -> np.ndarray:
 
 def mask_predictor_vjp(
     p: MaskPredictorParams, h: np.ndarray, cotangent: np.ndarray
-) -> tuple[np.ndarray, MaskPredictorGrads]:
+) -> tuple[np.ndarray, Grads]:
     d = ops.deconv2x2(h, p.deconv)
     a = ops.relu(d)
     d_a, proj_g = ops.conv1x1_vjp(a, p.proj, cotangent)
     d_d = ops.relu_vjp(d, d_a)
     d_h, deconv_g = ops.deconv2x2_vjp(h, p.deconv, d_d)
-    return d_h, MaskPredictorGrads(deconv_g, proj_g)
+    return d_h, Grads(ops.nested_leaf_items("", _predictor_parts(deconv_g, proj_g)))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ def contractive_block(
     )
 
 
-def _leaf_dict(grads) -> dict[str, np.ndarray]:
-    return {name: arr for name, arr in grads.leaf_items()}
-
-
 @dataclass
 class GradCheckResult:
     fd_rel_error: float
@@ -109,8 +105,7 @@ def check_block_gradients(
     """
     rec = ifr_forward(p, x, solver_cfg)
     back = ifr_backward(rec, upstream, solver_cfg)
-    implicit_grads = _leaf_dict(back.d_params)
-    implicit_grads["input"] = back.d_x
+    implicit_grads = {**back.d_params, "input": back.d_x}
     if break_vjp:
         implicit_grads = {k: v * 1.5 + 0.1 for k, v in implicit_grads.items()}
 
@@ -146,8 +141,7 @@ def check_block_gradients(
     fd_err = guarded_max_rel_error(implicit_sub, fd_sub)
 
     dx_unroll, grads_unroll = unrolled_shared_vjp(p, x, unroll_steps, upstream)
-    reference = _leaf_dict(grads_unroll)
-    reference["input"] = dx_unroll
+    reference = {**grads_unroll, "input": dx_unroll}
     unroll_err = guarded_max_rel_error(implicit_grads, reference)
     return GradCheckResult(
         fd_rel_error=fd_err,

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    DoubleResidualGrads,
     DoubleResidualParams,
     block_apply_factory,
     block_forward_tape,
     block_vjp_from_tape,
 )
+from .ops import Grads
 from .solver import SolverConfig, SolverResult, broyden_solve
 
 
@@ -38,7 +38,7 @@ class IfrForwardRecord:
 
 @dataclass
 class IfrBackwardResult:
-    d_params: DoubleResidualGrads
+    d_params: Grads
     d_x: np.ndarray
     adjoint_result: SolverResult
 

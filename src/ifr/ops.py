@@ -8,12 +8,14 @@ sums over the batch inside that GEMM; group-norm statistics are taken per
 sample. Every operation here is pure, validates shapes and finiteness on
 entry (one check per batch), and has an exact hand-derived adjoint so that
 block- and head-level backward passes can be composed without an autodiff
-tape.
+tape. A VJP returns the adjoint of its input and, for an op with
+parameters, a `Grads`: the ordered leaf-name -> array mapping that the
+parameter record's `leaf_items()` yields, summed over the batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,7 +68,38 @@ def _channel_sum(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parameter records
+# parameter records and their gradients
+
+
+class Grads(dict):
+    """Gradient of a parameter record: its `leaf_items()` names, in that
+    order, mapped to arrays of the leaves' shapes."""
+
+    @classmethod
+    def zeros_like(cls, params) -> "Grads":
+        return cls((name, np.zeros_like(arr)) for name, arr in params.leaf_items())
+
+    def leaf_items(self, prefix: str = ""):
+        for name, arr in self.items():
+            yield prefix + name, arr
+
+    def iadd(self, other: "Grads") -> None:
+        """In-place sum with a gradient of the same record."""
+        if other.keys() != self.keys():
+            raise ShapeError(f"gradient leaves {list(other)} do not match {list(self)}")
+        for name, arr in self.items():
+            arr += other[name]
+
+
+def nested_leaf_items(prefix: str, parts):
+    """Leaves of (name prefix, record or gradient) parts, in order; a None part has none.
+
+    A composite record and its gradient list their parts through the same
+    function, so both yield the same leaf names in the same order.
+    """
+    for part_prefix, part in parts:
+        if part is not None:
+            yield from part.leaf_items(prefix + part_prefix)
 
 
 @dataclass
@@ -113,25 +146,6 @@ class ConvParams:
 
 
 @dataclass
-class ConvGrads:
-    direction: np.ndarray
-    gain: np.ndarray | None
-    bias: np.ndarray
-
-    def leaf_items(self, prefix: str = ""):
-        yield prefix + "direction", self.direction
-        if self.gain is not None:
-            yield prefix + "gain", self.gain
-        yield prefix + "bias", self.bias
-
-    def iadd(self, other: "ConvGrads") -> None:
-        self.direction += other.direction
-        if self.gain is not None and other.gain is not None:
-            self.gain += other.gain
-        self.bias += other.bias
-
-
-@dataclass
 class GroupNormParams:
     """Per-group normalization with a per-channel affine."""
 
@@ -160,20 +174,6 @@ class GroupNormParams:
     def leaf_items(self, prefix: str = ""):
         yield prefix + "scale", self.scale
         yield prefix + "shift", self.shift
-
-
-@dataclass
-class GroupNormGrads:
-    scale: np.ndarray
-    shift: np.ndarray
-
-    def leaf_items(self, prefix: str = ""):
-        yield prefix + "scale", self.scale
-        yield prefix + "shift", self.shift
-
-    def iadd(self, other: "GroupNormGrads") -> None:
-        self.scale += other.scale
-        self.shift += other.shift
 
 
 def default_group_count(channels: int, cap: int = 32) -> int:
@@ -206,11 +206,10 @@ def effective_kernel(p: ConvParams) -> np.ndarray:
     return (p.direction * (p.gain / norms)[:, None, None, None])
 
 
-def _kernel_vjp(p: ConvParams, d_kernel: np.ndarray) -> ConvGrads:
+def _kernel_vjp(p: ConvParams, d_kernel: np.ndarray, d_bias: np.ndarray) -> Grads:
     """Chain a gradient w.r.t. the effective kernel onto direction/gain/bias."""
-    bias_grad = np.zeros_like(p.bias)
     if not p.weight_norm_enabled:
-        return ConvGrads(d_kernel.copy(), None, bias_grad)
+        return Grads(direction=d_kernel, bias=d_bias)
     flat_v = p.direction.reshape(p.out_channels, -1)
     flat_d = d_kernel.reshape(p.out_channels, -1)
     norms = np.maximum(np.linalg.norm(flat_v, axis=1), _NORM_FLOOR)
@@ -218,7 +217,7 @@ def _kernel_vjp(p: ConvParams, d_kernel: np.ndarray) -> ConvGrads:
     d_gain = inner / norms
     coeff = p.gain / norms
     d_dir_flat = coeff[:, None] * flat_d - (coeff * inner / norms**2)[:, None] * flat_v
-    return ConvGrads(d_dir_flat.reshape(p.direction.shape), d_gain, bias_grad)
+    return Grads(direction=d_dir_flat.reshape(p.direction.shape), gain=d_gain, bias=d_bias)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +299,7 @@ def conv2d_vjp(
     stride: int,
     padding: int,
     cotangent: np.ndarray,
-) -> tuple[np.ndarray, ConvGrads]:
+) -> tuple[np.ndarray, Grads]:
     """Adjoints of conv2d w.r.t. input and every parameter leaf (summed over a batch)."""
     x = check_maps(x, "conv2d input")
     cotangent = check_maps(cotangent, "conv2d cotangent")
@@ -319,9 +318,7 @@ def conv2d_vjp(
     d_kernel = (_channel_rows(cotangent) @ cols.T).reshape(kernel.shape)
 
     dx = conv2d_input_vjp(kernel, x.shape, stride, padding, cotangent)
-    grads = _kernel_vjp(p, d_kernel)
-    grads.bias = _channel_sum(cotangent)
-    return dx, grads
+    return dx, _kernel_vjp(p, d_kernel, _channel_sum(cotangent))
 
 
 def conv2d_input_vjp(
@@ -422,9 +419,7 @@ def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
     d_taps = cot_taps @ _channel_rows(x).T
     d_kernel = np.ascontiguousarray(d_taps.reshape(out_c, 2, 2, in_c).transpose(0, 3, 1, 2))
     dx = _from_channel_rows(_deconv_taps(kernel).T @ cot_taps, x.shape[:-3], h, w)
-    grads = _kernel_vjp(p, d_kernel)
-    grads.bias = _channel_sum(cotangent)
-    return dx, grads
+    return dx, _kernel_vjp(p, d_kernel, _channel_sum(cotangent))
 
 
 # ---------------------------------------------------------------------------
@@ -463,18 +458,21 @@ def group_norm_input_vjp(
     return dx.reshape(xhat.shape)
 
 
+def group_norm_param_grads(xhat: np.ndarray, cotangent: np.ndarray) -> Grads:
+    """Scale and shift gradients given the normalized input xhat."""
+    return Grads(scale=_channel_sum(cotangent * xhat), shift=_channel_sum(cotangent))
+
+
 def group_norm_vjp(
     x: np.ndarray, p: GroupNormParams, cotangent: np.ndarray
-) -> tuple[np.ndarray, GroupNormGrads]:
+) -> tuple[np.ndarray, Grads]:
     x = check_maps(x, "group_norm input")
     cotangent = check_maps(cotangent, "group_norm cotangent")
     if cotangent.shape != x.shape:
         raise ShapeError(f"cotangent shape {cotangent.shape} != input shape {x.shape}")
     xhat, inv_std = _group_stats(x, p)
-    d_scale = _channel_sum(cotangent * xhat)
-    d_shift = _channel_sum(cotangent)
-    dx = group_norm_input_vjp(xhat, inv_std, p, cotangent)
-    return dx, GroupNormGrads(d_scale, d_shift)
+    grads = group_norm_param_grads(xhat, cotangent)
+    return group_norm_input_vjp(xhat, inv_std, p, cotangent), grads
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -489,20 +487,6 @@ def relu_vjp(x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     if cotangent.shape != x.shape:
         raise ShapeError(f"cotangent shape {cotangent.shape} != input shape {x.shape}")
     return np.where(x > 0.0, cotangent, 0.0)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    check_finite(a, "add lhs")
-    check_finite(b, "add rhs")
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    return a + b
-
-
-def add_vjp(a: np.ndarray, b: np.ndarray, cotangent: np.ndarray):
-    if cotangent.shape != a.shape or a.shape != b.shape:
-        raise ShapeError("add cotangent/operand shapes differ")
-    return cotangent.copy(), cotangent.copy()
 
 
 # ---------------------------------------------------------------------------

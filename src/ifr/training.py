@@ -6,7 +6,9 @@ substreams, and all arithmetic is float64. Each iteration makes one batched
 (N, C, H, W) forward and backward pass. The implicit strategy trains through
 per-sample ifr_forward / ifr_backward solves; the explicit and unrolled
 strategies backpropagate through their finite computation graphs, and every
-strategy runs the mask predictor once over the batch.
+strategy runs the mask predictor once over the batch. The head's gradient is
+an `ops.Grads` keyed like `HeadParams.leaf_items()`, so SGD, clipping and the
+finite check walk parameters and gradients leaf by leaf in the same order.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from . import blocks
-from .blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig, HeadGrads, HeadParams
+from .blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig, HeadParams
 from .data import Sample, samples_to_tensors
 from .implicit import ifr_backward, ifr_forward
-from .ops import ShapeError, as_batch, floor_direction_norms
+from .ops import Grads, ShapeError, as_batch, floor_direction_norms
 from .rng import CounterRng
 from .solver import SolverConfig
 
@@ -149,6 +151,10 @@ def apply_sgd(
     lr: float,
 ) -> None:
     """In-place classical momentum update: buf = m*buf + g; p -= lr*buf."""
+    if len(param_items) != len(grad_items):
+        raise ShapeError(
+            f"{len(grad_items)} gradient leaves for {len(param_items)} parameter leaves"
+        )
     for (name, param), (gname, grad) in zip(param_items, grad_items):
         if name != gname or param.shape != grad.shape:
             raise ShapeError(f"gradient leaf {gname!r} does not match parameter {name!r}")
@@ -176,7 +182,7 @@ def clip_global_norm(grads, max_norm: float) -> float:
     return norm
 
 
-def sgd_step(state: TrainState, grads: HeadGrads, lr: float) -> TrainState:
+def sgd_step(state: TrainState, grads: Grads, lr: float) -> TrainState:
     """One momentum-SGD update; skips (and counts) non-finite gradients."""
     if not grads_finite(grads):
         state.skipped_steps += 1
@@ -267,7 +273,7 @@ def _refine_vjp(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, c
             params.stages[0], x, cfg.depth_or_budget, d_h, tapes=ctx
         )
         return [grads], 0
-    total, unconverged = blocks.zero_block_grads(params.stages[0]), 0
+    total, unconverged = Grads.zeros_like(params.stages[0]), 0
     for rec, upstream in zip(ctx, as_batch(d_h)):
         result = ifr_backward(rec, upstream, solver_cfg)
         total.iadd(result.d_params)
@@ -277,14 +283,17 @@ def _refine_vjp(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, c
 
 def sample_loss_and_grads(
     params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, sample: Sample
-) -> tuple[float, HeadGrads, int, int]:
-    """Forward + backward for one sample or a batch: (loss, grads, converged, diverged).
+) -> tuple[float, Grads, tuple[int, int], int]:
+    """Forward + backward for one sample or a batch.
 
+    Returns (loss, grads, (converged, diverged), adjoint_unconverged).
     sample holds one (C, H, W) feature and its mask, or a batch of them
     along a leading axis (see _stack). The loss and the gradients are sums
-    over the batch. converged and diverged count its forward solves, and
-    grads.adjoint_unconverged its adjoint solves that stopped short of their
-    tolerance; a finite-depth strategy counts every sample as converged.
+    over the batch; grads has exactly the names, order and shapes of
+    params.leaf_items(). converged and diverged count the forward solves,
+    and adjoint_unconverged the adjoint solves that stopped short of their
+    tolerance, whose gradient terms are not the exact implicit-function
+    gradients. A finite-depth strategy counts every sample as converged.
     """
     h, ctx, converged, diverged = _refine_forward(params, cfg, solver_cfg, sample.feature)
     logits = blocks.mask_predictor_forward(params.predictor, h)
@@ -293,7 +302,8 @@ def sample_loss_and_grads(
     stage_grads, adjoint_unconverged = _refine_vjp(
         params, cfg, solver_cfg, ctx, sample.feature, d_h
     )
-    return loss, HeadGrads(stage_grads, pred_grads, adjoint_unconverged), converged, diverged
+    grads = blocks.head_grads(stage_grads, pred_grads)
+    return loss, grads, (converged, diverged), adjoint_unconverged
 
 
 def init_train_state(
@@ -380,7 +390,7 @@ def train(
         lr = lr_at(train_cfg, it)
         idx = np.atleast_1d(batch_rng.integers(0, n_train, (train_cfg.batch_size,)))
         batch = _stack([train_set[int(j)] for j in idx])
-        loss, grads, converged, diverged = sample_loss_and_grads(
+        loss, grads, (converged, diverged), adjoint_unconverged = sample_loss_and_grads(
             state.params, head_cfg, solver, batch
         )
         window_solves += len(idx)
@@ -388,9 +398,9 @@ def train(
         window_diverged += diverged
         run_solves += len(idx)
         run_forward_converged += converged
-        run_adjoint_converged += len(idx) - grads.adjoint_unconverged
+        run_adjoint_converged += len(idx) - adjoint_unconverged
         batch_loss = loss / train_cfg.batch_size
-        for _, arr in grads.leaf_items():
+        for arr in grads.values():
             arr /= train_cfg.batch_size
         clip_global_norm(grads, GRAD_CLIP_NORM)
         sgd_step(state, grads, lr)

@@ -384,6 +384,18 @@ def test_batched_block_forward_and_vjp_match_per_sample(shortcut_conv):
         assert np.abs(arr - summed).max() <= 1e-12 * max(np.abs(summed).max(), 1.0), name
 
 
+def test_disabled_residual_keeps_a_zero_shortcut_gradient():
+    p = dataclasses.replace(small_block(seed=49), residual_enabled=False)
+    x, h = rand(50, (2, 4, 6, 6)), rand(51, (2, 4, 6, 6))
+    _, tape = blocks.block_forward_tape(p, h, x)
+    _, grads = blocks.block_vjp_from_tape(p, tape, rand(52, x.shape))
+    layout = [(name, arr.shape) for name, arr in p.leaf_items()]
+    assert [(name, arr.shape) for name, arr in grads.leaf_items()] == layout
+    shortcut = [arr for name, arr in grads.items() if name.startswith("shortcut.")]
+    assert len(shortcut) == 3 and not any(arr.any() for arr in shortcut)
+    assert grads["w1.direction"].any()
+
+
 def test_batched_predictor_forward_and_vjp_match_per_sample():
     p = init_mask_predictor(CounterRng(44), 4, 2)
     h = rand(45, (5, 4, 6, 6))

@@ -145,7 +145,8 @@ def test_conv2d_vjp_zero_cotangent_gives_zero_grads():
     p = plain_conv(3, 2, 3, seed=6, weight_norm=True)
     dx, grads = conv2d_vjp(x, p, 1, 1, np.zeros((3, 4, 4)))
     assert not dx.any()
-    assert not grads.direction.any() and not grads.gain.any() and not grads.bias.any()
+    assert list(grads) == ["direction", "gain", "bias"]
+    assert not any(arr.any() for arr in grads.values())
 
 
 def test_conv2d_vjp_bias_is_cotangent_channel_sum():
@@ -153,7 +154,7 @@ def test_conv2d_vjp_bias_is_cotangent_channel_sum():
     p = plain_conv(3, 2, 3, seed=9)
     cot = rand(10, (3, 4, 4))
     _, grads = conv2d_vjp(x, p, 1, 1, cot)
-    assert np.allclose(grads.bias, cot.sum(axis=(1, 2)))
+    assert np.allclose(grads["bias"], cot.sum(axis=(1, 2)))
 
 
 @pytest.mark.parametrize("weight_norm", [False, True])
@@ -178,7 +179,7 @@ def test_conv2d_vjp_params_match_finite_differences(leaf):
     cot = rand(52, (2, 4, 4))
     _, grads = conv2d_vjp(x, p, 1, 1, cot)
     arr = getattr(p, leaf)
-    analytic = getattr(grads, leaf)
+    analytic = grads[leaf]
 
     def loss():
         return float(np.sum(cot * conv2d(x, p, 1, 1)))
@@ -243,8 +244,8 @@ def test_group_norm_vjp_matches_finite_differences():
     fd_scale = finite_difference_grad(
         lambda s: float(np.sum(cot * group_norm(x, GroupNormParams(2, s, shift)))), scale, 1e-6
     )
-    assert np.allclose(grads.scale, fd_scale, atol=1e-6)
-    assert np.allclose(grads.shift, cot.sum(axis=(1, 2)))
+    assert np.allclose(grads["scale"], fd_scale, atol=1e-6)
+    assert np.allclose(grads["shift"], cot.sum(axis=(1, 2)))
 
 
 def test_default_group_count():
@@ -273,13 +274,19 @@ def test_relu_vjp_matches_finite_differences_away_from_zero():
     assert np.abs(relu_vjp(x, cot) - fd).max() < 1e-8
 
 
-def test_add_identity_and_vjp():
-    x = rand(72, (2, 3, 3))
-    assert np.array_equal(ops.add(x, np.zeros_like(x)), x)
-    da, db = ops.add_vjp(x, x, np.ones_like(x))
-    assert np.array_equal(da, np.ones_like(x)) and np.array_equal(db, np.ones_like(x))
+def test_grads_mirror_their_record_and_add_in_place():
+    p = plain_conv(3, 2, 3, seed=73, weight_norm=True)
+    total = ops.Grads.zeros_like(p)
+    assert [(n, a.shape) for n, a in total.leaf_items("w.")] == [
+        ("w." + n, a.shape) for n, a in p.leaf_items()
+    ]
+    _, grads = conv2d_vjp(rand(74, (2, 4, 4)), p, 1, 1, rand(75, (3, 4, 4)))
+    total.iadd(grads)
+    total.iadd(grads)
+    for name, arr in total.items():
+        assert np.array_equal(arr, 2.0 * grads[name])
     with pytest.raises(ShapeError):
-        ops.add(x, np.zeros((2, 3, 4)))
+        total.iadd(ops.Grads(direction=grads["direction"], bias=grads["bias"]))
 
 
 def test_deconv2x2_single_tap_scales_kernel():
@@ -406,8 +413,8 @@ def test_batched_conv_ops_match_stacked_per_sample_results(stride, padding, k):
     per = [conv2d_vjp(xi, p, stride, padding, ci) for xi, ci in zip(x, cot)]
     assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
     for leaf in ("direction", "gain", "bias"):
-        summed = sum(getattr(g, leaf) for _, g in per)
-        assert max_rel(getattr(grads, leaf), summed) < 1e-12
+        summed = sum(g[leaf] for _, g in per)
+        assert max_rel(grads[leaf], summed) < 1e-12
     kernel = effective_kernel(p)
     dx_only = ops.conv2d_input_vjp(kernel, x.shape, stride, padding, cot)
     assert max_rel(dx_only, dx) < 1e-12
@@ -422,8 +429,8 @@ def test_batched_group_norm_and_deconv_match_stacked_per_sample_results():
     dx, grads = group_norm_vjp(x, gn, cot)
     per = [group_norm_vjp(xi, gn, ci) for xi, ci in zip(x, cot)]
     assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
-    assert max_rel(grads.scale, sum(g.scale for _, g in per)) < 1e-12
-    assert max_rel(grads.shift, sum(g.shift for _, g in per)) < 1e-12
+    assert max_rel(grads["scale"], sum(g["scale"] for _, g in per)) < 1e-12
+    assert max_rel(grads["shift"], sum(g["shift"] for _, g in per)) < 1e-12
 
     p = plain_conv(3, 4, 2, seed=214, weight_norm=True)
     out = deconv2x2(x, p)
@@ -434,7 +441,7 @@ def test_batched_group_norm_and_deconv_match_stacked_per_sample_results():
     per = [deconv2x2_vjp(xi, p, ci) for xi, ci in zip(x, cot)]
     assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
     for leaf in ("direction", "gain", "bias"):
-        assert max_rel(getattr(grads, leaf), sum(getattr(g, leaf) for _, g in per)) < 1e-12
+        assert max_rel(grads[leaf], sum(g[leaf] for _, g in per)) < 1e-12
 
 
 def test_ops_reject_maps_without_three_or_four_axes():

@@ -1,5 +1,6 @@
 """Loss, schedule, SGD, evaluation arithmetic, and training-loop contracts."""
 
+import dataclasses
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from ifr import blocks, data, solver, training
 from ifr.blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig
 from ifr.gradcheck import guarded_max_rel_error
-from ifr.ops import finite_difference_grad
+from ifr.ops import Grads, ShapeError, finite_difference_grad
 from ifr.training import (
     OffEquilibriumWarning,
     TrainConfig,
@@ -127,13 +128,40 @@ def test_sgd_two_steps_with_momentum_closed_form():
     assert abs(params[0][1][0] - 0.71) < 1e-15
 
 
+@pytest.mark.parametrize("n_params,n_grads", [(2, 1), (1, 2)])
+def test_sgd_rejects_gradient_leaves_that_do_not_pair_with_parameters(n_params, n_grads):
+    names = ["a", "b"]
+    params = [(name, np.array([1.0])) for name in names[:n_params]]
+    grads = [(name, np.array([1.0])) for name in names[:n_grads]]
+    with pytest.raises(ShapeError):
+        apply_sgd(params, grads, {}, momentum_coef=0.9, lr=0.1)
+    assert all(arr[0] == 1.0 for _, arr in params)
+
+
+@pytest.mark.parametrize("weight_norm", [False, True])
+@pytest.mark.parametrize("shortcut_mode", ["identity", "conv1x1"])
+@pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 0), (EXPLICIT, 2), (UNROLLED, 2), (IMPLICIT, 4)])
+def test_grads_have_the_names_order_and_shapes_of_the_params(
+    grid_dataset, strategy, depth, shortcut_mode, weight_norm
+):
+    head = dataclasses.replace(
+        grid_head(strategy, depth), shortcut_mode=shortcut_mode, weight_norm=weight_norm
+    )
+    state = init_train_state(head, grid_train_cfg(), GRID_SOLVER)
+    batch = training._stack(grid_dataset[:2])
+    _, grads, _, _ = training.sample_loss_and_grads(state.params, head, state.solver_cfg, batch)
+    assert isinstance(grads, Grads)
+    layout = [(name, arr.shape) for name, arr in state.params.leaf_items()]
+    assert [(name, arr.shape) for name, arr in grads.leaf_items()] == layout
+
+
 def test_sgd_step_skips_nonfinite_gradients(grid_dataset):
     state = init_train_state(grid_head(IMPLICIT, 15), grid_train_cfg(), GRID_SOLVER)
     before = {name: arr.copy() for name, arr in state.params.leaf_items()}
     _, grads, _, _ = training.sample_loss_and_grads(
         state.params, state.head_cfg, state.solver_cfg, grid_dataset[0]
     )
-    grads.predictor.proj.bias[0] = np.nan
+    grads["predictor.proj.bias"][0] = np.nan
     sgd_step(state, grads, 0.1)
     assert state.skipped_steps == 1
     for name, arr in state.params.leaf_items():
@@ -260,7 +288,7 @@ def test_batched_grads_are_the_sum_of_single_sample_grads(grid_dataset, strategy
     state = init_train_state(grid_head(strategy, depth), grid_train_cfg(), GRID_SOLVER)
     samples = grid_dataset[:5]
     batch = training._stack(samples)
-    loss, grads, converged, diverged = training.sample_loss_and_grads(
+    loss, grads, counts, adjoint_unconverged = training.sample_loss_and_grads(
         state.params, state.head_cfg, state.solver_cfg, batch
     )
     singles = [
@@ -268,9 +296,8 @@ def test_batched_grads_are_the_sum_of_single_sample_grads(grid_dataset, strategy
         for s in samples
     ]
     assert loss == pytest.approx(sum(r[0] for r in singles), rel=1e-12)
-    assert converged == sum(r[2] for r in singles)
-    assert diverged == sum(r[3] for r in singles)
-    assert grads.adjoint_unconverged == sum(r[1].adjoint_unconverged for r in singles)
+    assert counts == (sum(r[2][0] for r in singles), sum(r[2][1] for r in singles))
+    assert adjoint_unconverged == sum(r[3] for r in singles)
     summed = {}
     for _, g, _, _ in singles:
         for name, arr in g.leaf_items():
