@@ -1,6 +1,7 @@
 """Equilibrium feature refinement: root-finding forward, adjoint backward.
 
-Forward: solve phi(h) = F(h; x) - h = 0 from h0 = 0 with the Broyden solver.
+Forward: solve phi(h) = F(h; x) - h = 0 from h0 = 0 with the Broyden solver,
+one (C, H, W) sample at a time.
 Backward: the gradient through the equilibrium never unrolls the solve.
 With u the upstream cotangent at h*, the adjoint a solves
 
@@ -10,6 +11,12 @@ equivalently a^T (I - J_F) = u^T, the inverse-Jacobian factor of the
 implicit function theorem. The same Broyden machinery solves this linear
 fixed point, after which single VJP calls at (h*, x) yield the parameter
 and input gradients. Only (h*, x, params, upstream) are ever touched.
+
+The backward also takes a minibatch: `stack_records` joins the per-sample
+records into one (N, C, H, W) record, and ifr_backward then runs one taped
+forward, one batched adjoint solve (each of its F-evaluations is one
+batched input-only VJP) and one with-params VJP whose GEMMs sum the
+parameter gradients over the batch.
 """
 
 from __future__ import annotations
@@ -25,22 +32,26 @@ from .blocks import (
     block_vjp_from_tape,
 )
 from .ops import Grads
-from .solver import SolverConfig, SolverResult, broyden_solve
+from .solver import BatchedSolverResult, SolverConfig, SolverResult, broyden_solve
 
 
 @dataclass
 class IfrForwardRecord:
+    """A solved equilibrium: one (C, H, W) sample, or a stack_records batch."""
+
     equilibrium: np.ndarray
     input: np.ndarray
-    forward_result: SolverResult
+    forward_result: SolverResult | BatchedSolverResult
     params_snapshot: DoubleResidualParams
 
 
 @dataclass
 class IfrBackwardResult:
+    """Gradients; for a batch, d_params is summed over it and d_x stacked."""
+
     d_params: Grads
     d_x: np.ndarray
-    adjoint_result: SolverResult
+    adjoint_result: SolverResult | BatchedSolverResult
 
 
 def ifr_forward(
@@ -58,10 +69,26 @@ def ifr_forward(
     )
 
 
+def stack_records(recs: list[IfrForwardRecord]) -> IfrForwardRecord:
+    """Per-sample records of one block as one (N, C, H, W) batch record."""
+    root = np.stack([rec.equilibrium for rec in recs])
+    return IfrForwardRecord(
+        equilibrium=root,
+        input=np.stack([rec.input for rec in recs]),
+        forward_result=BatchedSolverResult(root, [rec.forward_result for rec in recs]),
+        params_snapshot=recs[0].params_snapshot,
+    )
+
+
 def ifr_backward(
     rec: IfrForwardRecord, upstream: np.ndarray, cfg: SolverConfig
 ) -> IfrBackwardResult:
-    """Implicit gradients at the solved equilibrium (best effort if unconverged)."""
+    """Implicit gradients at the solved equilibrium (best effort if unconverged).
+
+    A batch record (4-D equilibrium) takes the stacked (N, C, H, W)
+    cotangents and solves its N adjoints as one batched solve, each sample
+    to its own tolerance; adjoint_result.problems holds their results.
+    """
     if upstream.shape != rec.equilibrium.shape:
         raise ValueError(
             f"upstream shape {upstream.shape} != equilibrium shape {rec.equilibrium.shape}"
@@ -76,6 +103,8 @@ def ifr_backward(
     def adjoint_residual(a: np.ndarray) -> np.ndarray:
         return upstream + h_vjp(a) - a
 
-    adjoint = broyden_solve(adjoint_residual, np.zeros_like(upstream), cfg)
+    adjoint = broyden_solve(
+        adjoint_residual, np.zeros_like(upstream), cfg, batched=upstream.ndim == 4
+    )
     d_r, grads = block_vjp_from_tape(p, tape, adjoint.root, want_params=True)
     return IfrBackwardResult(d_params=grads, d_x=d_r, adjoint_result=adjoint)

@@ -429,8 +429,10 @@ def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
 def _group_stats(x: np.ndarray, p: GroupNormParams):
     """(xhat, inv_std): statistics per sample and group, inv_std shaped (..., groups)."""
     grouped = x.reshape(x.shape[:-3] + (p.num_groups, -1))
-    centered = grouped - grouped.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1)
+    k = grouped.shape[-1]
+    # np.add.reduce / k is what ndarray.mean computes, without its Python wrapper
+    centered = grouped - np.add.reduce(grouped, axis=-1, keepdims=True) / k
+    var = np.add.reduce(centered * centered, axis=-1) / k
     inv_std = 1.0 / np.sqrt(var + p.epsilon)
     xhat = (centered * inv_std[..., None]).reshape(x.shape)
     return xhat, inv_std
@@ -452,8 +454,9 @@ def group_norm_input_vjp(
     grouped = xhat.shape[:-3] + (p.num_groups, -1)
     d_xhat = (cotangent * p.scale[:, None, None]).reshape(grouped)
     xhat_g = xhat.reshape(grouped)
-    mean_d = d_xhat.mean(axis=-1, keepdims=True)
-    mean_dx = (d_xhat * xhat_g).mean(axis=-1, keepdims=True)
+    k = xhat_g.shape[-1]
+    mean_d = np.add.reduce(d_xhat, axis=-1, keepdims=True) / k
+    mean_dx = np.add.reduce(d_xhat * xhat_g, axis=-1, keepdims=True) / k
     dx = inv_std[..., None] * (d_xhat - mean_d - xhat_g * mean_dx)
     return dx.reshape(xhat.shape)
 

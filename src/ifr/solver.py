@@ -4,12 +4,18 @@ The workhorse is a limited-memory "good Broyden" iteration: the inverse
 Jacobian estimate starts at -I and accumulates rank-one corrections, kept as
 (u, v) pair history so no dense matrix is ever formed. With the -I seed the
 first step is x1 = x0 + g(x0), i.e. a plain fixed-point step when
-g(h) = F(h) - h. A plain fixed-point iterator is the package's untaped
-unroll loop and the long-horizon oracle the solver is tested against.
+g(h) = F(h) - h. The loop solves N independent problems stacked on a
+leading axis, each with its own history (one row of an (N, m, d) stack),
+tolerance test, divergence guard and best iterate, so one batched call of
+the residual map serves them all; a single problem is the N = 1 case. Each step applies the
+estimate B once and B^T once: B g is carried across the rank-one update.
+A plain fixed-point iterator is the package's untaped unroll loop and the
+long-horizon oracle the solver is tested against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,6 +57,8 @@ class SolverConfig:
 
 @dataclass
 class SolverResult:
+    """One problem's solve."""
+
     root: np.ndarray
     residual_trace: list[float]
     converged: bool
@@ -59,107 +67,184 @@ class SolverResult:
     note: str = ""
 
 
-def _rel_residual(g: np.ndarray, x: np.ndarray) -> float:
-    return float(np.sqrt(g @ g) / (np.sqrt(x @ x) + _REL_EPS))
+@dataclass
+class BatchedSolverResult:
+    """A solve of N stacked problems: problems[i] is problem i's own result.
+
+    converged and iterations_used summarize the batch as one solve (all
+    problems converged; the evaluations of residual_fn the slowest problem
+    used), so a caller that counts solves reads a batch like any result.
+    """
+
+    root: np.ndarray
+    problems: list[SolverResult]
+
+    @property
+    def converged(self) -> bool:
+        return all(p.converged for p in self.problems)
+
+    @property
+    def iterations_used(self) -> int:
+        return max(p.iterations_used for p in self.problems)
 
 
 def broyden_solve(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     cfg: SolverConfig,
-) -> SolverResult:
+    *,
+    batched: bool = False,
+) -> SolverResult | BatchedSolverResult:
     """Find g(x) = 0 with limited-memory good Broyden updates.
 
     residual_trace[k] is the relative residual |g(x_k)| / (|x_k| + 1e-9) at
     iterate k; entry 0 is the starting point, so at most max_iters update
     steps append entries 1..max_iters. The returned root is the iterate with
-    the smallest recorded relative residual. The solve stops as diverged
-    when the absolute residual |g(x_k)| outgrows divergence_factor * |g(x0)|.
+    the smallest recorded relative residual among those whose absolute
+    residual |g(x_k)| is no larger than |g(x0)|, so a solve never returns a
+    point worse than its start. The solve stops as diverged when |g(x_k)|
+    outgrows divergence_factor * |g(x0)|.
+
+    With batched=True, x0 stacks N independent problems on its leading axis
+    and residual_fn maps such a stack to the stack of their residuals. Each
+    problem keeps its own history, tolerance test, divergence guard and best
+    iterate. A problem that stops is frozen: residual_fn still sees its last
+    iterate while the others go on. Returns a BatchedSolverResult; a plain
+    call is the N = 1 case and returns that problem's SolverResult.
     """
     shape = x0.shape
-    x = np.asarray(x0, dtype=np.float64).reshape(-1).copy()
+    n = shape[0] if batched else 1
+    if n < 1:
+        raise ValueError("a batched solve needs at least one problem")
+    x = np.array(x0, dtype=np.float64).reshape(n, -1)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
 
-    def g_flat(v: np.ndarray) -> np.ndarray:
+    def g_rows(v: np.ndarray) -> np.ndarray:
         out = residual_fn(v.reshape(shape))
         if out.shape != shape:
             raise ValueError(f"residual_fn returned shape {out.shape}, expected {shape}")
-        return np.asarray(out, dtype=np.float64).reshape(-1)
+        # a copy: the rows of stopped problems are overwritten below
+        return np.array(out, dtype=np.float64).reshape(n, -1)
 
-    # rank-one history kept as rows of U and V: B w = -w + U^T (V w)
+    # each problem's rank-one history, kept as rows of U and V:
+    # B w = -w + U^T (V w). A step that updates any problem fills slot k of
+    # every problem, with a zero pair for the problems that skip it.
     capacity = cfg.history_size
-    u_rows = np.zeros((capacity, x.size))
-    v_rows = np.zeros((capacity, x.size))
-    n_pairs = 0
+    u_rows = np.zeros((n, capacity, x.shape[1]))
+    v_rows = np.zeros_like(u_rows)
+    k = 0
 
-    def apply_b(w: np.ndarray) -> np.ndarray:
-        if n_pairs == 0:
+    def low_rank(left: np.ndarray, right: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """B w with (left, right) = (V, U), B^T w with (U, V)."""
+        if k == 0:
             return -w
-        return u_rows[:n_pairs].T @ (v_rows[:n_pairs] @ w) - w
+        return (np.vecdot(left[:, :k], w[:, None, :])[:, None, :] @ right[:, :k])[:, 0] - w
 
-    def apply_bt(w: np.ndarray) -> np.ndarray:
-        if n_pairs == 0:
-            return -w
-        return v_rows[:n_pairs].T @ (u_rows[:n_pairs] @ w) - w
-
-    g = g_flat(x)
-    trace = [_rel_residual(g, x)]
-    best_iter = 0
+    g = g_rows(x)
+    start_norm = np.sqrt(np.vecdot(g, g)).tolist()
+    x_norm = np.sqrt(np.vecdot(x, x)).tolist()
+    best_rel = [gn / (xn + _REL_EPS) for gn, xn in zip(start_norm, x_norm)]
+    traces = [[r] for r in best_rel]
+    best_iter = [0] * n
     best_x = x.copy()
-    note = ""
+    notes = [""] * n
     # the relative residual at x0 = 0 is |g| / 1e-9, so divergence is
     # measured on the absolute residual
-    runaway = cfg.divergence_factor * float(np.sqrt(g @ g))
+    runaway = [cfg.divergence_factor * gn for gn in start_norm]
+    # B g is carried from step to step (B+ g = B g + u (v . g) after a
+    # rank-one update), so each step applies B and B^T once
+    b_g = -g
+    # a stopped problem is frozen: its rows of g and B g are held at zero, so
+    # its step is zero and everything computed from its rows stays finite
+    live = [i for i in range(n) if not best_rel[i] < cfg.rel_tol]
+    frozen = [i for i in range(n) if i not in live]
+    g[frozen] = b_g[frozen] = 0.0
 
-    for _ in range(cfg.max_iters):
-        if trace[best_iter] < cfg.rel_tol:
+    for step in range(1, cfg.max_iters + 1):
+        if not live:
             break
-        step = -cfg.damping * apply_b(g)
-        x_new = x + step
-        g_new = g_flat(x_new)
-        if not np.all(np.isfinite(g_new)) or not np.all(np.isfinite(x_new)):
-            note = f"non-finite iterate at step {len(trace)}"
-            break
-        rel = _rel_residual(g_new, x_new)
-        trace.append(rel)
-        if rel < trace[best_iter]:
-            best_iter = len(trace) - 1
-            best_x = x_new.copy()
+        x_new = x - cfg.damping * b_g
+        g_new = g_rows(x_new)
+        if frozen:
+            g_new[frozen] = 0.0
+        g_norm = np.sqrt(np.vecdot(g_new, g_new)).tolist()
+        x_norm = np.sqrt(np.vecdot(x_new, x_new)).tolist()
+        stopped = []
+        for i in live:
+            # a norm that overflows counts as non-finite too
+            if not math.isfinite(g_norm[i] + x_norm[i]):
+                notes[i] = f"non-finite iterate at step {step}"
+                x_new[i], g_new[i] = x[i], 0.0
+                stopped.append(i)
+                continue
+            rel = g_norm[i] / (x_norm[i] + _REL_EPS)
+            traces[i].append(rel)
+            if rel < best_rel[i] and g_norm[i] <= start_norm[i]:
+                best_rel[i], best_iter[i] = rel, step
+                best_x[i] = x_new[i]
+            if g_norm[i] > runaway[i]:
+                notes[i] = f"residual diverged at step {step}"
+                stopped.append(i)
+            elif best_rel[i] < cfg.rel_tol:
+                stopped.append(i)
         delta_x = x_new - x
         delta_g = g_new - g
         x, g = x_new, g_new
-        g_norm = float(np.sqrt(g @ g))
-        if g_norm > runaway:
-            note = f"residual diverged at step {len(trace) - 1}"
-            break
-        # rank-one inverse-Jacobian correction: B += (dx - B dg) (dx^T B) / (dx^T B dg)
+        if stopped:
+            g[stopped] = 0.0
+            live = [i for i in live if i not in stopped]
+            frozen = [i for i in range(n) if i not in live]
+            if not live:
+                break
+        # rank-one inverse-Jacobian correction: B += (dx - B dg) (dx^T B) / (dx^T B dg).
         # a delta_g at rounding-noise scale carries no secant information and
         # would put noise-amplified rank-one terms into B, so skip it
-        g_scale = g_norm + float(np.sqrt(delta_g @ delta_g))
-        if np.sqrt(delta_g @ delta_g) <= 1e-12 * g_scale:
-            continue
-        bdg = apply_b(delta_g)
-        v = apply_bt(delta_x)
-        denom = float(v @ delta_g)
-        if abs(denom) > 1e-30:
-            if n_pairs >= capacity:
-                u_rows[:-1] = u_rows[1:]
-                v_rows[:-1] = v_rows[1:]
-                n_pairs = capacity - 1
-            u_rows[n_pairs] = (delta_x - bdg) / denom
-            v_rows[n_pairs] = v
-            n_pairs += 1
+        b_g_new = low_rank(v_rows, u_rows, g)
+        v = low_rank(u_rows, v_rows, delta_x)
+        denom = np.vecdot(v, delta_g)
+        dg_norm = np.sqrt(np.vecdot(delta_g, delta_g)).tolist()
+        den = denom.tolist()
+        update = [
+            i for i in live
+            if dg_norm[i] > 1e-12 * (g_norm[i] + dg_norm[i]) and abs(den[i]) > 1e-30
+        ]
+        if update:
+            # a problem that skips the update gets a zero pair
+            skip = [i for i in range(n) if i not in update]
+            if skip:
+                denom[skip] = 1.0
+            u = (delta_x - (b_g_new - b_g)) / denom[:, None]
+            if skip:
+                u[skip] = 0.0
+                v[skip] = 0.0
+            if k == capacity:
+                # the oldest pair leaves the history, and B g with it
+                b_g_new -= np.vecdot(v_rows[:, 0], g)[:, None] * u_rows[:, 0]
+                u_rows[:, :-1] = u_rows[:, 1:]
+                v_rows[:, :-1] = v_rows[:, 1:]
+                k -= 1
+            u_rows[:, k] = u
+            v_rows[:, k] = v
+            k += 1
+            b_g_new += np.vecdot(v, g)[:, None] * u
+        if frozen:
+            b_g_new[frozen] = 0.0
+        b_g = b_g_new
 
-    converged = trace[best_iter] < cfg.rel_tol
-    return SolverResult(
-        root=best_x.reshape(shape),
-        residual_trace=trace,
-        converged=converged,
-        iterations_used=len(trace),
-        best_iteration=best_iter,
-        note=note,
-    )
+    root = best_x.reshape(shape)
+    problems = [
+        SolverResult(
+            root=root[i] if batched else root,
+            residual_trace=traces[i],
+            converged=best_rel[i] < cfg.rel_tol,
+            iterations_used=len(traces[i]),
+            best_iteration=best_iter[i],
+            note=notes[i],
+        )
+        for i in range(n)
+    ]
+    return BatchedSolverResult(root, problems) if batched else problems[0]
 
 
 def fixed_point_iterate(

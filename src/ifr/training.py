@@ -3,12 +3,14 @@
 The loop is single threaded and bit-deterministic for a fixed seed: batch
 order comes from a counter-based stream, parameter initialization from split
 substreams, and all arithmetic is float64. Each iteration makes one batched
-(N, C, H, W) forward and backward pass. The implicit strategy trains through
-per-sample ifr_forward / ifr_backward solves; the explicit and unrolled
-strategies backpropagate through their finite computation graphs, and every
-strategy runs the mask predictor once over the batch. The head's gradient is
-an `ops.Grads` keyed like `HeadParams.leaf_items()`, so SGD, clipping and the
-finite check walk parameters and gradients leaf by leaf in the same order.
+(N, C, H, W) forward and backward pass. The implicit strategy solves each
+sample's equilibrium with its own ifr_forward call, then makes one
+ifr_backward call for the batch, whose adjoint is one batched solve; the
+explicit and unrolled strategies backpropagate through their finite
+computation graphs, and every strategy runs the mask predictor once over
+the batch. The head's gradient is an `ops.Grads` keyed like
+`HeadParams.leaf_items()`, so SGD, clipping and the finite check walk
+parameters and gradients leaf by leaf in the same order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import blocks
 from .blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig, HeadParams
 from .data import Sample, samples_to_tensors
-from .implicit import ifr_backward, ifr_forward
+from .implicit import ifr_backward, ifr_forward, stack_records
 from .ops import Grads, ShapeError, as_batch, floor_direction_norms
 from .rng import CounterRng
 from .solver import SolverConfig
@@ -256,11 +258,11 @@ def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfi
     if cfg.strategy == UNROLLED:
         h, tapes = blocks.stacked_head_tapes([params.stages[0]] * cfg.depth_or_budget, x)
         return h, tapes, n, 0
-    recs = [ifr_forward(params.stages[0], xi, solver_cfg) for xi in as_batch(x)]
-    h = np.stack([rec.equilibrium for rec in recs]).reshape(x.shape)
-    converged = sum(rec.forward_result.converged for rec in recs)
-    diverged = sum(bool(rec.forward_result.note) for rec in recs)
-    return h, recs, converged, diverged
+    rec = stack_records([ifr_forward(params.stages[0], xi, solver_cfg) for xi in as_batch(x)])
+    solves = rec.forward_result.problems
+    converged = sum(solve.converged for solve in solves)
+    diverged = sum(bool(solve.note) for solve in solves)
+    return rec.equilibrium.reshape(x.shape), rec, converged, diverged
 
 
 def _refine_vjp(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, ctx, x, d_h):
@@ -273,12 +275,9 @@ def _refine_vjp(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, c
             params.stages[0], x, cfg.depth_or_budget, d_h, tapes=ctx
         )
         return [grads], 0
-    total, unconverged = Grads.zeros_like(params.stages[0]), 0
-    for rec, upstream in zip(ctx, as_batch(d_h)):
-        result = ifr_backward(rec, upstream, solver_cfg)
-        total.iadd(result.d_params)
-        unconverged += not result.adjoint_result.converged
-    return [total], unconverged
+    result = ifr_backward(ctx, as_batch(d_h), solver_cfg)
+    unconverged = sum(not solve.converged for solve in result.adjoint_result.problems)
+    return [result.d_params], unconverged
 
 
 def sample_loss_and_grads(

@@ -14,7 +14,7 @@ from ifr.gradcheck import (
     guarded_max_rel_error,
     run_grad_check,
 )
-from ifr.implicit import ifr_backward, ifr_forward
+from ifr.implicit import ifr_backward, ifr_forward, stack_records
 from ifr.rng import CounterRng
 from ifr.solver import SolverConfig, broyden_solve
 
@@ -146,3 +146,51 @@ def test_run_grad_check_negative_control():
     broken = run_grad_check(trials=1, break_vjp=True)
     assert broken.fd_rel_error > 1e-4
     assert broken.unroll_rel_error > 1e-3
+
+
+def test_batched_backward_matches_single_sample_backwards():
+    p = contractive_block(seed=4321)
+    rng = CounterRng(4322)
+    xs = [rng.split(i).normal((8, 6, 6)) for i in range(4)]
+    us = [rng.split(10 + i).normal((8, 6, 6)) for i in range(4)]
+    cfg = SolverConfig(max_iters=40, rel_tol=1e-12)
+    recs = [ifr_forward(p, x, cfg) for x in xs]
+    singles = [ifr_backward(rec, u, cfg) for rec, u in zip(recs, us)]
+    batch = ifr_backward(stack_records(recs), np.stack(us), cfg)
+
+    assert [s.converged for s in batch.adjoint_result.problems] == [
+        s.adjoint_result.converged for s in singles
+    ]
+    assert np.abs(batch.d_x - np.stack([s.d_x for s in singles])).max() <= 1e-10
+    summed = {name: sum(dict(s.d_params.leaf_items())[name] for s in singles)
+              for name, _ in singles[0].d_params.leaf_items()}
+    batched = dict(batch.d_params.leaf_items())
+    # the four adjoints converge after 18-20 steps each, so the batch runs on
+    # with frozen problems; the worst coordinates are the structurally zero
+    # gain and bias gradients, at 1e-15 against the guard's floor
+    assert guarded_max_rel_error(batched, summed) <= 1e-10
+
+
+def test_stacked_record_keeps_each_forward_solve():
+    p = contractive_block(seed=4323)
+    xs = [rand(40 + i, (8, 6, 6)) for i in range(3)]
+    recs = [ifr_forward(p, x, TIGHT) for x in xs]
+    rec = stack_records(recs)
+    assert rec.equilibrium.shape == rec.input.shape == (3, 8, 6, 6)
+    assert [s is r.forward_result for s, r in zip(rec.forward_result.problems, recs)] == [True] * 3
+    assert np.array_equal(rec.equilibrium[1], recs[1].equilibrium)
+
+
+def test_batched_adjoint_keeps_a_sample_converged_at_its_start():
+    # a zero cotangent's adjoint is a = 0, converged at its first evaluation;
+    # the other sample's adjoint runs out of its budget of 3 beside it
+    p = contractive_block(seed=4324)
+    recs = [ifr_forward(p, rand(50 + i, (8, 6, 6)), TIGHT) for i in range(2)]
+    u = np.stack([np.zeros((8, 6, 6)), rand(52, (8, 6, 6))])
+    cfg = SolverConfig(max_iters=3, rel_tol=1e-12)
+    batch = ifr_backward(stack_records(recs), u, cfg).adjoint_result
+    alone = [ifr_backward(rec, ui, cfg).adjoint_result for rec, ui in zip(recs, u)]
+    assert [s.converged for s in batch.problems] == [a.converged for a in alone] == [True, False]
+    assert [s.iterations_used for s in batch.problems] == [1, 4]
+    assert not batch.root[0].any()
+    assert np.abs(batch.root[1] - alone[1].root).max() <= 1e-12

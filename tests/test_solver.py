@@ -162,3 +162,76 @@ def test_fixed_point_step_norm_overflow_raises_at_that_step():
         with pytest.raises(DivergenceError) as err:
             fixed_point_iterate(lambda v: 1e8 * v, np.full(1, 1e300), 1)
     assert err.value.step == 0
+
+
+def test_broyden_never_returns_a_point_worse_than_its_start():
+    # the runaway step lands where |g| is 2.0e4; by relative residual it
+    # beats x0 = 0 (whose entry is |g(0)| / 1e-9), but its absolute residual
+    # is 1e4 times that of x0, so x0 stays the returned iterate
+    residual = lambda v: 1e4 * v * v + 1.0
+    res = broyden_solve(residual, np.zeros(4), SolverConfig())
+    assert res.best_iteration == 0
+    assert np.array_equal(res.root, np.zeros(4))
+    assert np.linalg.norm(residual(res.root)) == 2.0
+
+
+def _contractions(count: int, dim: int = 12):
+    rng = CounterRng(321)
+    mats = [rng.normal((dim, dim)) * (0.3 + 0.1 * i) / np.sqrt(dim) for i in range(count)]
+    offsets = [rng.normal((dim,)) for _ in range(count)]
+
+    def single(i):
+        return lambda v: np.tanh(mats[i] @ v) + offsets[i] - v
+
+    def stacked(v):
+        return np.stack([single(i)(vi) for i, vi in enumerate(v)])
+
+    return single, stacked
+
+
+@pytest.mark.parametrize("memory", [None, 3])
+def test_batched_solve_is_the_stack_of_single_solves(memory):
+    single, stacked = _contractions(4)
+    cfg = SolverConfig(max_iters=12, rel_tol=1e-9, memory=memory)
+    x0 = rand(5, (4, 12))
+    batch = broyden_solve(stacked, x0, cfg, batched=True)
+    assert batch.root.shape == x0.shape
+    for i, problem in enumerate(batch.problems):
+        alone = broyden_solve(single(i), x0[i], cfg)
+        assert np.abs(problem.root - alone.root).max() <= 1e-12
+        assert np.array_equal(batch.root[i], problem.root)
+        assert problem.iterations_used == alone.iterations_used
+        assert problem.best_iteration == alone.best_iteration
+        assert problem.converged == alone.converged
+        assert np.allclose(problem.residual_trace, alone.residual_trace, rtol=1e-9, atol=0)
+
+
+def test_mixed_batch_freezes_the_converged_problem():
+    # problem 0 is the scalar fixed point h = 0.5 h + 1, which Broyden solves
+    # in two steps; problem 1, g = 1.5 + sin(v) > 0, has no root
+    cfg = SolverConfig(max_iters=10, rel_tol=1e-10)
+    linear = lambda v: 0.5 * v + 1.0 - v
+    rootless = lambda v: 1.5 + np.sin(v)
+    batch = broyden_solve(
+        lambda v: np.stack([linear(v[0]), rootless(v[1])]), np.zeros((2, 1)), cfg, batched=True
+    )
+    alone = broyden_solve(linear, np.zeros(1), cfg)
+    first, second = batch.problems
+    assert alone.iterations_used <= 3
+    assert [first.converged, second.converged] == [True, False]
+    assert abs(first.root[0] - alone.root[0]) <= 1e-12
+    assert first.residual_trace == alone.residual_trace
+    assert second.iterations_used == cfg.max_iters + 1
+    assert batch.iterations_used == cfg.max_iters + 1 and not batch.converged
+
+
+def test_batched_result_keeps_the_fields_a_solve_counter_reads():
+    # the benchmark's tracer records (result.iterations_used,
+    # bool(result.converged)) for every broyden_solve call, batched or not,
+    # and averages the first as evaluations per solve: a batched result must
+    # keep an int there and a converged value that bool() accepts
+    _, stacked = _contractions(3)
+    batch = broyden_solve(stacked, np.zeros((3, 12)), SolverConfig(max_iters=4), batched=True)
+    assert type(batch.iterations_used) is int
+    assert bool(batch.converged) is False
+    assert batch.iterations_used == max(p.iterations_used for p in batch.problems)

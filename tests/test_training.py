@@ -337,7 +337,7 @@ def test_evaluate_scores_each_sample_on_its_own_logits(grid_dataset, monkeypatch
         assert getattr(metrics, field) == pytest.approx(by_chunk, rel=1e-12)
 
 
-@pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 2), (UNROLLED, 2)])
+@pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 2), (UNROLLED, 2), (IMPLICIT, 15)])
 def test_batched_train_is_bit_deterministic(grid_dataset, strategy, depth):
     cfg = grid_train_cfg(total_iters=8, decay_points=(), warmup_iters=2)
     head = grid_head(strategy, depth)
