@@ -83,10 +83,6 @@ class DoubleResidualParams:
     def channels(self) -> int:
         return self.w1.in_channels
 
-    @property
-    def mid_channels(self) -> int:
-        return self.w1.out_channels
-
     def leaf_items(self, prefix: str = ""):
         parts = _block_parts(self.w1, self.gn1, self.w2, self.gn2, self.shortcut)
         return ops.nested_leaf_items(prefix, parts)
@@ -200,9 +196,8 @@ def init_conv(
     return ConvParams(direction, gain, np.zeros(out_channels), weight_norm)
 
 
-def init_group_norm(channels: int, num_groups: Optional[int] = None) -> GroupNormParams:
-    groups = default_group_count(channels) if num_groups is None else num_groups
-    return GroupNormParams(groups, np.ones(channels), np.zeros(channels))
+def init_group_norm(channels: int) -> GroupNormParams:
+    return GroupNormParams(default_group_count(channels), np.ones(channels), np.zeros(channels))
 
 
 def _init_shortcut(channels: int, gain_value: float, weight_norm: bool) -> ConvParams:
@@ -298,15 +293,15 @@ def _block_forward(
     """F(h; x) on precomputed effective kernels, unchecked; (F, tape) if keep_tape."""
     k1, k2, ks = kernels
     r = h + x
-    c1 = ops._conv2d_core(r, k1, p.w1.bias, 1, 1)
+    c1 = ops._conv2d_core(r, k1, p.w1.bias)
     xhat1, inv_std1 = ops._group_stats(c1, p.gn1)
     g1 = xhat1 * p.gn1.scale[:, None, None] + p.gn1.shift[:, None, None]
     a1 = np.maximum(g1, 0.0)
-    c2 = ops._conv2d_core(a1, k2, p.w2.bias, 1, 1)
+    c2 = ops._conv2d_core(a1, k2, p.w2.bias)
     xhat2, inv_std2 = ops._group_stats(c2, p.gn2)
     out = xhat2 * p.gn2.scale[:, None, None] + p.gn2.shift[:, None, None]
     if p.residual_enabled:
-        out = out + (r if ks is None else ops._conv2d_core(r, ks, p.shortcut.bias, 1, 0))
+        out = out + (r if ks is None else ops._conv2d_core(r, ks, p.shortcut.bias))
     if not keep_tape:
         return out
     return out, BlockTape(r, xhat1, inv_std1, g1 > 0.0, a1, xhat2, inv_std2, k1, k2, ks)
@@ -341,28 +336,26 @@ def block_vjp_from_tape(
     R = h + x. want_params=False skips every parameter-gradient contraction
     (the adjoint fixed-point loop only needs dR).
     """
-    shape = tape.r.shape
-    mid_shape = shape[:-3] + (p.mid_channels,) + shape[-2:]
     d_c2 = ops.group_norm_input_vjp(tape.xhat2, tape.inv_std2, p.gn2, cotangent)
     if want_params:
-        d_a1, w2_g = ops.conv2d_vjp(tape.a1, p.w2, 1, 1, d_c2)
+        d_a1, w2_g = ops.conv2d_vjp(tape.a1, p.w2, d_c2)
     else:
-        d_a1 = ops.conv2d_input_vjp(tape.k2, mid_shape, 1, 1, d_c2)
+        d_a1 = ops.conv2d_input_vjp(tape.k2, d_c2)
     d_g1 = np.where(tape.mask1, d_a1, 0.0)
     d_c1 = ops.group_norm_input_vjp(tape.xhat1, tape.inv_std1, p.gn1, d_g1)
     if want_params:
-        d_r, w1_g = ops.conv2d_vjp(tape.r, p.w1, 1, 1, d_c1)
+        d_r, w1_g = ops.conv2d_vjp(tape.r, p.w1, d_c1)
     else:
-        d_r = ops.conv2d_input_vjp(tape.k1, shape, 1, 1, d_c1)
+        d_r = ops.conv2d_input_vjp(tape.k1, d_c1)
     shortcut_g = None
     if p.residual_enabled:
         if p.shortcut is None:
             d_r = d_r + cotangent
         else:
             if want_params:
-                d_r_s, shortcut_g = ops.conv1x1_vjp(tape.r, p.shortcut, cotangent)
+                d_r_s, shortcut_g = ops.conv2d_vjp(tape.r, p.shortcut, cotangent)
             else:
-                d_r_s = ops.conv2d_input_vjp(tape.k_shortcut, shape, 1, 0, cotangent)
+                d_r_s = ops.conv2d_input_vjp(tape.k_shortcut, cotangent)
             d_r = d_r + d_r_s
     if not want_params:
         return d_r, None
@@ -502,7 +495,7 @@ def unrolled_shared_vjp(
 def mask_predictor_forward(p: MaskPredictorParams, h: np.ndarray) -> np.ndarray:
     """Refined feature (C, H, W) to logits (classes, 2H, 2W)."""
     d = ops.deconv2x2(h, p.deconv)
-    return ops.conv1x1(ops.relu(d), p.proj)
+    return ops.conv2d(ops.relu(d), p.proj)
 
 
 def mask_predictor_vjp(
@@ -510,7 +503,7 @@ def mask_predictor_vjp(
 ) -> tuple[np.ndarray, Grads]:
     d = ops.deconv2x2(h, p.deconv)
     a = ops.relu(d)
-    d_a, proj_g = ops.conv1x1_vjp(a, p.proj, cotangent)
+    d_a, proj_g = ops.conv2d_vjp(a, p.proj, cotangent)
     d_d = ops.relu_vjp(d, d_a)
     d_h, deconv_g = ops.deconv2x2_vjp(h, p.deconv, d_d)
     return d_h, Grads(ops.nested_leaf_items("", _predictor_parts(deconv_g, proj_g)))

@@ -349,6 +349,8 @@ def _diagnose_linear(args, out_dir) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.steps < 1 or args.inputs < 1:
+        raise ConfigError("--steps and --inputs must be >= 1")
     out_dir = args.output_dir or "."
     if args.profile == "linear-1d":
         return _diagnose_linear(args, out_dir)

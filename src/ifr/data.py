@@ -263,14 +263,22 @@ def load_container(path) -> dict[str, np.ndarray]:
         entries = json.loads(raw[9 : 9 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path}: malformed header ({exc})") from exc
+    if not isinstance(entries, list):
+        raise ContainerError(f"{path}: malformed header (not a list of entries)")
     payload = raw[9 + header_len :]
     out: dict[str, np.ndarray] = {}
     for entry in entries:
         try:
             name, shape = entry["name"], tuple(int(s) for s in entry["shape"])
             offset, length = int(entry["offset"]), int(entry["length"])
+            if not isinstance(name, str):
+                raise TypeError("entry name is not a string")
         except (KeyError, TypeError, ValueError) as exc:
             raise ContainerError(f"{path}: malformed entry {entry!r}") from exc
+        if name in out:
+            raise EntryMismatchError(f"{path}: entry {name!r} appears more than once")
+        if min(shape, default=0) < 0:
+            raise EntryMismatchError(f"{path}: entry {name!r} has negative shape {shape}")
         expected = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
         if length != expected:
             raise EntryMismatchError(

@@ -26,6 +26,9 @@ from .rng import CounterRng
 from .solver import SolverConfig, fixed_point_iterate
 
 _GROWTH_GUARD = 1e6
+# the spectral-radius probes of unroll_convergence
+_PROBES = 3
+_POWER_ITERS = 60
 
 
 @dataclass
@@ -44,16 +47,14 @@ def unroll_convergence(
     x: np.ndarray,
     steps: int,
     probe_steps: Sequence[int] = (),
-    probes: int = 3,
-    power_iters: int = 60,
-    seed: int = 0,
 ) -> ConvergenceReport:
     """Iterate h <- F(h; x) for `steps`, recording step-size norms.
 
     Optionally estimates the spectral radius of dF/dh at the iterates whose
-    indices appear in probe_steps. The trace is truncated with an annotation
-    if an iterate goes non-finite or the step size outgrows its start by a
-    large factor.
+    indices appear in probe_steps (_PROBES probe vectors, Krylov dimension
+    _POWER_ITERS, seeded by the step index). The trace is truncated with an
+    annotation if an iterate goes non-finite or the step size outgrows its
+    start by a large factor.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -67,7 +68,7 @@ def unroll_convergence(
     for i in range(steps):
         if i in probe_set:
             radius_estimates.append(
-                spectral_radius(p, x, h, probes=probes, power_iters=power_iters, seed=seed + i)
+                spectral_radius(p, x, h, probes=_PROBES, power_iters=_POWER_ITERS, seed=i)
             )
         h_next = apply(h)
         if not np.isfinite(h_next.sum()):

@@ -32,6 +32,11 @@ SOLVE_REL_TOL = 1e-10
 
 # relative-error floor as a fraction of the largest gradient coordinate
 _FLOOR_FRACTION = 1e-6
+# central-difference step, and how many coordinates of each leaf it checks
+_FD_EPS = 1e-5
+_FD_COORDS_PER_LEAF = 3
+# length of the reference unroll backpropagated through
+_UNROLL_STEPS = 200
 
 
 def guarded_max_rel_error(
@@ -90,18 +95,16 @@ def check_block_gradients(
     x: np.ndarray,
     upstream: np.ndarray,
     solver_cfg: SolverConfig,
-    fd_eps: float = 1e-5,
-    fd_coords_per_leaf: int = 3,
-    unroll_steps: int = 200,
     coord_seed: int = 0,
     break_vjp: bool = False,
 ) -> GradCheckResult:
     """Compare ifr_backward against both oracles for the loss <upstream, H*>.
 
     Finite differences are evaluated on a deterministic random subset of
-    coordinates per leaf (full sweeps are quadratic in parameter count);
-    the unroll comparison covers every coordinate. break_vjp is a negative
-    control that corrupts the implicit gradients before comparison.
+    _FD_COORDS_PER_LEAF coordinates per leaf (full sweeps are quadratic in
+    parameter count); the comparison with the _UNROLL_STEPS-step unroll
+    covers every coordinate. break_vjp is a negative control that corrupts
+    the implicit gradients before comparison.
     """
     rec = ifr_forward(p, x, solver_cfg)
     back = ifr_backward(rec, upstream, solver_cfg)
@@ -121,7 +124,7 @@ def check_block_gradients(
     implicit_sub: dict[str, np.ndarray] = {}
     for name, arr in leaves.items():
         flat = arr.reshape(-1)
-        n = min(fd_coords_per_leaf, flat.size)
+        n = min(_FD_COORDS_PER_LEAF, flat.size)
         picks = sorted(
             set(int(i) for i in np.atleast_1d(coord_rng.integers(0, flat.size, (n,))))
         )
@@ -129,18 +132,18 @@ def check_block_gradients(
         gflat = implicit_grads[name].reshape(-1)
         for i in picks:
             orig = flat[i]
-            flat[i] = orig + fd_eps
+            flat[i] = orig + _FD_EPS
             up = solved_loss()
-            flat[i] = orig - fd_eps
+            flat[i] = orig - _FD_EPS
             down = solved_loss()
             flat[i] = orig
-            fd_vals.append((up - down) / (2.0 * fd_eps))
+            fd_vals.append((up - down) / (2.0 * _FD_EPS))
             an_vals.append(float(gflat[i]))
         fd_sub[name] = np.array(fd_vals)
         implicit_sub[name] = np.array(an_vals)
     fd_err = guarded_max_rel_error(implicit_sub, fd_sub)
 
-    dx_unroll, grads_unroll = unrolled_shared_vjp(p, x, unroll_steps, upstream)
+    dx_unroll, grads_unroll = unrolled_shared_vjp(p, x, _UNROLL_STEPS, upstream)
     reference = {**grads_unroll, "input": dx_unroll}
     unroll_err = guarded_max_rel_error(implicit_grads, reference)
     return GradCheckResult(

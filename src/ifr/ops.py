@@ -2,15 +2,17 @@
 
 Feature maps are plain numpy arrays in channels-first layout (C, H, W),
 with an optional leading batch axis: (N, C, H, W). A 3-D map is the N = 1
-case of the same code. Convolutions and the 2x2 transposed convolution run
-as one GEMM over the N*H*W columns of the batch, so a parameter gradient
-sums over the batch inside that GEMM; group-norm statistics are taken per
-sample. Every operation here is pure, validates shapes and finiteness on
-entry (one check per batch), and has an exact hand-derived adjoint so that
-block- and head-level backward passes can be composed without an autodiff
-tape. A VJP returns the adjoint of its input and, for an op with
-parameters, a `Grads`: the ordered leaf-name -> array mapping that the
-parameter record's `leaf_items()` yields, summed over the batch.
+case of the same code. A convolution is stride-1 with an odd square kernel
+and zero padding of k // 2, so its output keeps the input's size. It and
+the 2x2 transposed convolution run as one GEMM over the N*H*W columns of
+the batch, so a parameter gradient sums over the batch inside that GEMM;
+group-norm statistics are taken per sample. Every operation here is pure,
+validates shapes and finiteness on entry (one check per batch), and has an
+exact hand-derived adjoint so that block- and head-level backward passes
+can be composed without an autodiff tape. A VJP returns the adjoint of its
+input and, for an op with parameters, a `Grads`: the ordered leaf-name ->
+array mapping that the parameter record's `leaf_items()` yields, summed
+over the batch.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from typing import Callable
 import numpy as np
 
 _NORM_FLOOR = 1e-12
+# group-norm group count of a default-initialized layer, at most
+_MAX_GROUPS = 32
 
 
 class ShapeError(ValueError):
@@ -176,25 +180,25 @@ class GroupNormParams:
         yield prefix + "shift", self.shift
 
 
-def default_group_count(channels: int, cap: int = 32) -> int:
-    """Largest divisor of `channels` that is <= cap."""
-    for g in range(min(cap, channels), 0, -1):
+def default_group_count(channels: int) -> int:
+    """Largest divisor of `channels` that is <= _MAX_GROUPS."""
+    for g in range(min(_MAX_GROUPS, channels), 0, -1):
         if channels % g == 0:
             return g
     return 1
 
 
-def floor_direction_norms(direction: np.ndarray, floor: float = _NORM_FLOOR) -> None:
+def floor_direction_norms(direction: np.ndarray) -> None:
     """Ensure no output channel of a direction tensor has (near-)zero norm.
 
     Zero-norm channels are nudged to a deterministic stencil of norm
-    `floor` so the weight-norm quotient stays defined after any update.
+    _NORM_FLOOR so the weight-norm quotient stays defined after any update.
     """
     flat = direction.reshape(direction.shape[0], -1)
     norms = np.linalg.norm(flat, axis=1)
-    for c in np.nonzero(norms < floor)[0]:
+    for c in np.nonzero(norms < _NORM_FLOOR)[0]:
         flat[c] = 0.0
-        flat[c, 0] = floor
+        flat[c, 0] = _NORM_FLOOR
 
 
 def effective_kernel(p: ConvParams) -> np.ndarray:
@@ -224,15 +228,12 @@ def _kernel_vjp(p: ConvParams, d_kernel: np.ndarray, d_bias: np.ndarray) -> Grad
 # convolution
 
 
-def _conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int, padding: int):
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"kernel {kh}x{kw} with stride {stride}, padding {padding} "
-            f"does not fit input {h}x{w}"
-        )
-    return oh, ow
+def _kernel_size(kernel: np.ndarray) -> int:
+    """k of a k x k kernel; k must be odd for a zero padding of k // 2 to keep the size."""
+    kh, kw = kernel.shape[-2:]
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"convolution kernel must be square with an odd size, got {kh}x{kw}")
+    return kh
 
 
 def _pad(x: np.ndarray, padding: int) -> np.ndarray:
@@ -245,16 +246,15 @@ def _pad(x: np.ndarray, padding: int) -> np.ndarray:
     return x_pad
 
 
-def _patches(x_pad: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int):
-    """im2col columns (C*kh*kw, N*oh*ow) of a C-contiguous padded (N, C, Hp, Wp) batch."""
-    n, c = x_pad.shape[:2]
+def _patches(batch: np.ndarray, k: int):
+    """im2col columns (C*k*k, N*H*W) of an (N, C, H, W) batch zero-padded by k // 2."""
+    n, c, h, w = batch.shape
+    x_pad = _pad(batch, k // 2)
     sn, sc, sh, sw = x_pad.strides
     # a strided window view straight on the buffer (as_strided costs more
     # than the GEMM of a small map)
-    windows = np.ndarray(
-        (c, kh, kw, n, oh, ow), np.float64, x_pad, 0, (sc, sh, sw, sn, stride * sh, stride * sw)
-    )
-    return windows.reshape(c * kh * kw, n * oh * ow)
+    windows = np.ndarray((c, k, k, n, h, w), np.float64, x_pad, 0, (sc, sh, sw, sn, sh, sw))
+    return windows.reshape(c * k * k, n * h * w)
 
 
 def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndarray:
@@ -264,107 +264,52 @@ def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndar
     return np.ascontiguousarray(out).reshape(lead + (c, h, w))
 
 
-def _conv2d_core(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: np.ndarray | None,
-    stride: int,
-    padding: int,
-) -> np.ndarray:
-    """Unchecked cross-correlation on a raw kernel (hot path): one GEMM per batch."""
-    batch = as_batch(x)
-    h, w = batch.shape[2:]
-    out_c, _, kh, kw = kernel.shape
-    oh, ow = _conv_output_hw(h, w, kh, kw, stride, padding)
-    cols = _patches(_pad(batch, padding), kh, kw, stride, oh, ow)
-    out = kernel.reshape(out_c, -1) @ cols
+def _conv2d_core(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """Cross-correlation on a raw kernel (hot path): one GEMM per batch, and
+    no operand check but the kernel's shape."""
+    out = kernel.reshape(kernel.shape[0], -1) @ _patches(as_batch(x), _kernel_size(kernel))
     if bias is not None:
         out += bias[:, None]
-    return _from_channel_rows(out, x.shape[:-3], oh, ow)
+    return _from_channel_rows(out, x.shape[:-3], *x.shape[-2:])
 
 
-def conv2d(x: np.ndarray, p: ConvParams, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Cross-correlation with zero padding, effective kernel, per-channel bias."""
+def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
+    """Cross-correlation with the effective kernel and a per-channel bias."""
     x = check_maps(x, "conv2d input")
-    if stride < 1 or padding < 0:
-        raise ValueError("stride must be >= 1 and padding >= 0")
     if x.shape[-3] != p.in_channels:
         raise ShapeError(f"input has {x.shape[-3]} channels, kernel expects {p.in_channels}")
-    return _conv2d_core(x, effective_kernel(p), p.bias, stride, padding)
+    return _conv2d_core(x, effective_kernel(p), p.bias)
 
 
-def conv2d_vjp(
-    x: np.ndarray,
-    p: ConvParams,
-    stride: int,
-    padding: int,
-    cotangent: np.ndarray,
-) -> tuple[np.ndarray, Grads]:
+def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.ndarray, Grads]:
     """Adjoints of conv2d w.r.t. input and every parameter leaf (summed over a batch)."""
     x = check_maps(x, "conv2d input")
     cotangent = check_maps(cotangent, "conv2d cotangent")
     kernel = effective_kernel(p)
-    out_c, in_c, kh, kw = kernel.shape
+    k = _kernel_size(kernel)
+    out_c, in_c = kernel.shape[:2]
     c, h, w = x.shape[-3:]
     if c != in_c:
         raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
-    oh, ow = _conv_output_hw(h, w, kh, kw, stride, padding)
-    if cotangent.shape != x.shape[:-3] + (out_c, oh, ow):
+    if cotangent.shape != x.shape[:-3] + (out_c, h, w):
         raise ShapeError(
             f"cotangent shape {cotangent.shape} does not match output "
-            f"{x.shape[:-3] + (out_c, oh, ow)}"
+            f"{x.shape[:-3] + (out_c, h, w)}"
         )
-    cols = _patches(_pad(as_batch(x), padding), kh, kw, stride, oh, ow)
+    cols = _patches(as_batch(x), k)
     d_kernel = (_channel_rows(cotangent) @ cols.T).reshape(kernel.shape)
-
-    dx = conv2d_input_vjp(kernel, x.shape, stride, padding, cotangent)
+    dx = conv2d_input_vjp(kernel, cotangent)
     return dx, _kernel_vjp(p, d_kernel, _channel_sum(cotangent))
 
 
-def conv2d_input_vjp(
-    kernel: np.ndarray,
-    in_shape: tuple[int, ...],
-    stride: int,
-    padding: int,
-    cotangent: np.ndarray,
-) -> np.ndarray:
+def conv2d_input_vjp(kernel: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     """Adjoint of conv2d w.r.t. the input only (no parameter gradients).
 
-    in_shape is the input's (..., C, H, W) shape.
+    It is itself a correlation, with the spatially flipped, channel-transposed
+    kernel.
     """
-    c, h, w = in_shape[-3:]
-    out_c, _, kh, kw = kernel.shape
-    oh, ow = cotangent.shape[-2:]
-    if stride == 1 and kh == kw and padding <= kh - 1:
-        # stride-1 input adjoint is itself a correlation with the spatially
-        # flipped, channel-transposed kernel
-        flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-        return _conv2d_core(cotangent, flipped, None, 1, kh - 1 - padding)
-    # scatter cotangent back through each kernel tap
-    d_cols = (kernel.reshape(out_c, -1).T @ _channel_rows(cotangent)).reshape(
-        c, kh, kw, -1, oh, ow
-    )
-    dx_pad = np.zeros((c, d_cols.shape[3], h + 2 * padding, w + 2 * padding))
-    for a in range(kh):
-        for b in range(kw):
-            dx_pad[:, :, a : a + stride * oh : stride, b : b + stride * ow : stride] += d_cols[
-                :, a, b
-            ]
-    dx = dx_pad[:, :, padding : padding + h, padding : padding + w].transpose(1, 0, 2, 3)
-    return np.ascontiguousarray(dx).reshape(tuple(in_shape))
-
-
-def conv1x1(x: np.ndarray, p: ConvParams) -> np.ndarray:
-    """Channel-mixing convolution (kernel 1x1, stride 1, no padding)."""
-    if p.direction.shape[2:] != (1, 1):
-        raise ShapeError(f"conv1x1 kernel must be 1x1, got {p.direction.shape[2:]}")
-    return conv2d(x, p, stride=1, padding=0)
-
-
-def conv1x1_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
-    if p.direction.shape[2:] != (1, 1):
-        raise ShapeError(f"conv1x1 kernel must be 1x1, got {p.direction.shape[2:]}")
-    return conv2d_vjp(x, p, 1, 0, cotangent)
+    flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _conv2d_core(cotangent, flipped, None)
 
 
 def _deconv_taps(kernel: np.ndarray) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Black-box root finding for residual maps g(x) = 0.
 
-The workhorse is a limited-memory "good Broyden" iteration: the inverse
-Jacobian estimate starts at -I and accumulates rank-one corrections, kept as
-(u, v) pair history so no dense matrix is ever formed. With the -I seed the
-first step is x1 = x0 + g(x0), i.e. a plain fixed-point step when
+The workhorse is a "good Broyden" iteration: the inverse Jacobian estimate
+starts at -I and accumulates rank-one corrections, kept as (u, v) pair
+history so no dense matrix is ever formed. The history holds one pair per
+step of the budget, so no pair is ever evicted. With the -I seed the first
+step is x1 = x0 + g(x0), i.e. a plain fixed-point step when
 g(h) = F(h) - h. The loop solves N independent problems stacked on a
 leading axis, each with its own history (one row of an (N, m, d) stack),
 tolerance test, divergence guard and best iterate, so one batched call of
-the residual map serves them all; a single problem is the N = 1 case. Each step applies the
-estimate B once and B^T once: B g is carried across the rank-one update.
-A plain fixed-point iterator is the package's untaped unroll loop and the
-long-horizon oracle the solver is tested against.
+the residual map serves them all; a single problem is the N = 1 case.
+Each step applies the estimate B once and B^T once: B g is carried across
+the rank-one update. A plain fixed-point iterator is the package's untaped
+unroll loop and the long-horizon oracle the solver is tested against.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     max_iters: int = 15
     rel_tol: float = 1e-6
-    damping: float = 1.0
-    memory: int | None = None  # None: same as max_iters
     divergence_factor: float = 1e3
 
     def __post_init__(self):
@@ -45,14 +44,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.memory is not None and self.memory < 1:
-            raise ValueError("memory must be >= 1")
-
-    @property
-    def history_size(self) -> int:
-        return self.max_iters if self.memory is None else self.memory
 
 
 @dataclass
@@ -95,7 +86,7 @@ def broyden_solve(
     *,
     batched: bool = False,
 ) -> SolverResult | BatchedSolverResult:
-    """Find g(x) = 0 with limited-memory good Broyden updates.
+    """Find g(x) = 0 with good Broyden updates.
 
     residual_trace[k] is the relative residual |g(x_k)| / (|x_k| + 1e-9) at
     iterate k; entry 0 is the starting point, so at most max_iters update
@@ -130,8 +121,7 @@ def broyden_solve(
     # each problem's rank-one history, kept as rows of U and V:
     # B w = -w + U^T (V w). A step that updates any problem fills slot k of
     # every problem, with a zero pair for the problems that skip it.
-    capacity = cfg.history_size
-    u_rows = np.zeros((n, capacity, x.shape[1]))
+    u_rows = np.zeros((n, cfg.max_iters, x.shape[1]))
     v_rows = np.zeros_like(u_rows)
     k = 0
 
@@ -164,7 +154,7 @@ def broyden_solve(
     for step in range(1, cfg.max_iters + 1):
         if not live:
             break
-        x_new = x - cfg.damping * b_g
+        x_new = x - b_g
         g_new = g_rows(x_new)
         if frozen:
             g_new[frozen] = 0.0
@@ -218,12 +208,6 @@ def broyden_solve(
             if skip:
                 u[skip] = 0.0
                 v[skip] = 0.0
-            if k == capacity:
-                # the oldest pair leaves the history, and B g with it
-                b_g_new -= np.vecdot(v_rows[:, 0], g)[:, None] * u_rows[:, 0]
-                u_rows[:, :-1] = u_rows[:, 1:]
-                v_rows[:, :-1] = v_rows[:, 1:]
-                k -= 1
             u_rows[:, k] = u
             v_rows[:, k] = v
             k += 1

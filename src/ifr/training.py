@@ -33,6 +33,8 @@ _INIT_TAG = 11
 _BATCH_TAG = 23
 
 GRAD_CLIP_NORM = 10.0
+# share of the dataset, at its tail, that train holds out for IoU logging
+_HOLDOUT_FRACTION = 0.2
 
 # evaluate runs its refine and predictor passes over chunks of this many
 # samples; a larger chunk is faster per sample but holds more memory, and 8
@@ -356,19 +358,18 @@ def train(
     train_cfg: TrainConfig,
     dataset: list[Sample],
     solver_cfg: Optional[SolverConfig] = None,
-    holdout_fraction: float = 0.2,
     log_every: int = 100,
 ) -> tuple[TrainState, list[dict]]:
     """Run the full schedule; returns final state and periodic metric rows.
 
-    The dataset tail (holdout_fraction of it) is held out for IoU logging.
+    The dataset tail (_HOLDOUT_FRACTION of it) is held out for IoU logging.
     Aborts if more than half the forward solves in a logging window diverge.
     Issues one OffEquilibriumWarning per run if any forward or adjoint solve
     of a training sample stopped unconverged.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    n_holdout = max(1, int(round(len(dataset) * holdout_fraction)))
+    n_holdout = max(1, int(round(len(dataset) * _HOLDOUT_FRACTION)))
     n_train = len(dataset) - n_holdout
     if n_train < 1 and train_cfg.total_iters > 0:
         raise ValueError("dataset too small to split into train and holdout")

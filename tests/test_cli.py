@@ -208,6 +208,17 @@ def test_diagnose_trained_checkpoint(tmp_path):
     assert "norm_diff" in metrics
 
 
+@pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "-3"], ["--inputs", "0"]])
+def test_diagnose_needs_a_step_and_an_input(tmp_path, capsys, flags):
+    head = load_experiment_config(write_config(tmp_path / "cfg.json")).head
+    save_checkpoint(tmp_path / "c.ifr", head, init_head(CounterRng(0), head))
+    for source in (["--profile", "linear-1d"], ["--checkpoint", "c.ifr"]):
+        argv = ["--output-dir", str(tmp_path), "diagnose", *source, *flags, "--out", "diag.csv"]
+        assert main(argv) == 1
+        assert "--steps and --inputs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "diag.csv").exists()
+
+
 def test_diagnose_corrupt_checkpoint_is_io_error(tmp_path):
     bad = tmp_path / "bad.ifr"
     bad.write_bytes(b"JUNKJUNKJUNK")

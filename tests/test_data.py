@@ -160,15 +160,58 @@ def test_container_rejects_truncated_payload(tmp_path):
         load_container(path)
 
 
+def _rewrite_header(path, edit):
+    """Replace the container's header with edit(entries), keeping its payload."""
+    raw = path.read_bytes()
+    header_len = struct.unpack("<I", raw[5:9])[0]
+    entries = edit(json.loads(raw[9 : 9 + header_len].decode()))
+    new_header = json.dumps(entries, separators=(",", ":")).encode()
+    path.write_bytes(raw[:5] + struct.pack("<I", len(new_header)) + new_header + raw[9 + header_len :])
+
+
 def test_container_rejects_shape_length_mismatch(tmp_path):
     path = tmp_path / "mismatch.ifr"
     save_container(path, {"a": np.ones((2, 3))})
-    raw = path.read_bytes()
-    header_len = struct.unpack("<I", raw[5:9])[0]
-    entries = json.loads(raw[9 : 9 + header_len].decode())
-    entries[0]["shape"] = [2, 4]  # declared shape no longer matches length
-    new_header = json.dumps(entries, separators=(",", ":")).encode()
-    path.write_bytes(raw[:5] + struct.pack("<I", len(new_header)) + new_header + raw[9 + header_len :])
+
+    def edit(entries):
+        entries[0]["shape"] = [2, 4]  # declared shape no longer matches length
+        return entries
+
+    _rewrite_header(path, edit)
+    with pytest.raises(EntryMismatchError):
+        load_container(path)
+
+
+@pytest.mark.parametrize(
+    "shape,length",
+    [
+        ([-1], -8),  # a length that matches its negative shape
+        ([-2, -1], 16),  # negative dimensions whose product is positive
+        ([2], -8),  # a negative length alone
+    ],
+)
+def test_container_rejects_negative_shapes_and_lengths(tmp_path, shape, length):
+    path = tmp_path / "neg.ifr"
+    save_container(path, {"a": np.ones(2), "b": np.ones(3)})
+
+    def edit(entries):
+        entries[1].update(shape=shape, length=length)
+        return entries
+
+    _rewrite_header(path, edit)
+    with pytest.raises(EntryMismatchError):
+        load_container(path)
+
+
+def test_container_rejects_a_repeated_entry_name(tmp_path):
+    path = tmp_path / "dup.ifr"
+    save_container(path, {"a": np.ones(2), "b": np.ones(2)})
+
+    def edit(entries):
+        entries[1]["name"] = "a"
+        return entries
+
+    _rewrite_header(path, edit)
     with pytest.raises(EntryMismatchError):
         load_container(path)
 
@@ -182,5 +225,15 @@ def test_container_malformed_header(tmp_path):
     path = tmp_path / "garbage.ifr"
     header = b"not json"
     path.write_bytes(b"IFR1" + bytes([1]) + struct.pack("<I", len(header)) + header)
+    with pytest.raises(ContainerError):
+        load_container(path)
+
+
+@pytest.mark.parametrize(
+    "header", [b"5", b'[{"name": ["a"], "shape": [1], "offset": 0, "length": 8}]']
+)
+def test_container_rejects_a_header_that_is_not_a_list_of_named_entries(tmp_path, header):
+    path = tmp_path / "odd.ifr"
+    path.write_bytes(b"IFR1" + bytes([1]) + struct.pack("<I", len(header)) + header + bytes(8))
     with pytest.raises(ContainerError):
         load_container(path)

@@ -10,8 +10,6 @@ from ifr.ops import (
     GroupNormParams,
     NonFiniteError,
     ShapeError,
-    conv1x1,
-    conv1x1_vjp,
     conv2d,
     conv2d_vjp,
     deconv2x2,
@@ -33,20 +31,18 @@ from conftest import max_rel, rand
 # oracles
 
 
-def naive_conv2d(x, kernel, bias, stride, padding):
-    """Direct summation over receptive fields."""
+def naive_conv2d(x, kernel, bias):
+    """Direct summation over the receptive fields of a zero-padded input."""
     c_in, h, w = x.shape
-    c_out, _, kh, kw = kernel.shape
-    xp = np.zeros((c_in, h + 2 * padding, w + 2 * padding))
-    xp[:, padding : padding + h, padding : padding + w] = x
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    out = np.zeros((c_out, oh, ow))
+    c_out, _, k, _ = kernel.shape
+    pad = k // 2
+    xp = np.zeros((c_in, h + 2 * pad, w + 2 * pad))
+    xp[:, pad : pad + h, pad : pad + w] = x
+    out = np.zeros((c_out, h, w))
     for o in range(c_out):
-        for i in range(oh):
-            for j in range(ow):
-                patch = xp[:, i * stride : i * stride + kh, j * stride : j * stride + kw]
-                out[o, i, j] = np.sum(patch * kernel[o]) + bias[o]
+        for i in range(h):
+            for j in range(w):
+                out[o, i, j] = np.sum(xp[:, i : i + k, j : j + k] * kernel[o]) + bias[o]
     return out
 
 
@@ -92,14 +88,14 @@ def test_identity_stencil_is_exact_identity():
     k = np.zeros((1, 1, 3, 3))
     k[0, 0, 1, 1] = 1.0
     p = ConvParams(k, np.ones(1), np.zeros(1))
-    assert np.array_equal(conv2d(x, p, 1, 1), x)
+    assert np.array_equal(conv2d(x, p), x)
 
 
 def test_all_ones_kernel_receptive_sums():
     x = np.ones((1, 3, 3))
     p = ConvParams(np.ones((1, 1, 3, 3)), np.ones(1), np.zeros(1))
-    out = conv2d(x, p, 1, 1)
-    oracle = naive_conv2d(x, p.direction, p.bias, 1, 1)
+    out = conv2d(x, p)
+    oracle = naive_conv2d(x, p.direction, p.bias)
     assert np.allclose(out, oracle)
     assert out[0, 1, 1] == 9.0
     assert out[0, 0, 0] == 4.0 and out[0, 2, 2] == 4.0
@@ -110,40 +106,50 @@ def test_weight_norm_with_gain_equal_to_norm_matches_plain():
     norms = np.linalg.norm(p.direction.reshape(3, -1), axis=1)
     p_wn = ConvParams(p.direction.copy(), norms, p.bias.copy(), weight_norm_enabled=True)
     x = rand(12, (2, 6, 6))
-    assert np.allclose(conv2d(x, p, 1, 1), conv2d(x, p_wn, 1, 1))
+    assert np.allclose(conv2d(x, p), conv2d(x, p_wn))
 
 
-@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (1, 0, 3), (2, 1, 3), (1, 0, 1), (2, 0, 2)])
-def test_conv2d_matches_direct_summation(stride, padding, k):
-    x = rand(20 + stride + padding + k, (3, 7, 7))
-    p = plain_conv(4, 3, k, seed=30 + stride * 10 + padding)
-    out = conv2d(x, p, stride, padding)
-    assert np.allclose(out, naive_conv2d(x, p.direction, p.bias, stride, padding), atol=1e-12)
+@pytest.mark.parametrize("k", [3, 1])
+def test_conv2d_matches_direct_summation(k):
+    x = rand(20 + k, (3, 7, 7))
+    p = plain_conv(4, 3, k, seed=30 + k)
+    out = conv2d(x, p)
+    assert np.allclose(out, naive_conv2d(x, p.direction, p.bias), atol=1e-12)
+
+
+@pytest.mark.parametrize("kh,kw", [(2, 2), (1, 3)])
+def test_conv2d_rejects_an_even_or_non_square_kernel(kh, kw):
+    x = rand(26, (3, 5, 5))
+    p = ConvParams(rand(27, (2, 3, kh, kw)), np.ones(2), np.zeros(2))
+    with pytest.raises(ShapeError):
+        conv2d(x, p)
+    with pytest.raises(ShapeError):
+        conv2d_vjp(x, p, np.zeros((2, 5, 5)))
 
 
 def test_conv2d_weight_norm_matches_direct_summation():
     x = rand(77, (2, 5, 5))
     p = plain_conv(3, 2, 3, seed=78, weight_norm=True)
-    out = conv2d(x, p, 1, 1)
-    assert np.allclose(out, naive_conv2d(x, effective_kernel(p), p.bias, 1, 1), atol=1e-12)
+    out = conv2d(x, p)
+    assert np.allclose(out, naive_conv2d(x, effective_kernel(p), p.bias), atol=1e-12)
 
 
 def test_conv2d_rejects_bad_shapes_and_nonfinite():
     p = plain_conv(2, 3, 3, seed=1)
     with pytest.raises(ShapeError):
-        conv2d(rand(2, (4, 5, 5)), p, 1, 1)
+        conv2d(rand(2, (4, 5, 5)), p)
     bad = rand(3, (3, 5, 5))
     bad[0, 0, 0] = np.nan
     with pytest.raises(NonFiniteError):
-        conv2d(bad, p, 1, 1)
+        conv2d(bad, p)
     with pytest.raises(ShapeError):
-        conv2d_vjp(rand(4, (3, 5, 5)), p, 1, 1, np.zeros((2, 9, 9)))
+        conv2d_vjp(rand(4, (3, 5, 5)), p, np.zeros((2, 9, 9)))
 
 
 def test_conv2d_vjp_zero_cotangent_gives_zero_grads():
     x = rand(5, (2, 4, 4))
     p = plain_conv(3, 2, 3, seed=6, weight_norm=True)
-    dx, grads = conv2d_vjp(x, p, 1, 1, np.zeros((3, 4, 4)))
+    dx, grads = conv2d_vjp(x, p, np.zeros((3, 4, 4)))
     assert not dx.any()
     assert list(grads) == ["direction", "gain", "bias"]
     assert not any(arr.any() for arr in grads.values())
@@ -153,7 +159,7 @@ def test_conv2d_vjp_bias_is_cotangent_channel_sum():
     x = rand(8, (2, 4, 4))
     p = plain_conv(3, 2, 3, seed=9)
     cot = rand(10, (3, 4, 4))
-    _, grads = conv2d_vjp(x, p, 1, 1, cot)
+    _, grads = conv2d_vjp(x, p, cot)
     assert np.allclose(grads["bias"], cot.sum(axis=(1, 2)))
 
 
@@ -164,10 +170,10 @@ def test_conv2d_vjp_input_matches_finite_differences(weight_norm):
     cot = rand(42, (2, 4, 4))
     v = rand(43, x.shape)
     eps = 1e-5
-    lhs = float(np.sum(cot * (conv2d(x + eps * v, p, 1, 1) - conv2d(x - eps * v, p, 1, 1)))) / (
+    lhs = float(np.sum(cot * (conv2d(x + eps * v, p) - conv2d(x - eps * v, p)))) / (
         2 * eps
     )
-    dx, _ = conv2d_vjp(x, p, 1, 1, cot)
+    dx, _ = conv2d_vjp(x, p, cot)
     rhs = float(np.sum(dx * v))
     assert abs(lhs - rhs) < 1e-6 * max(abs(lhs), 1.0)
 
@@ -177,12 +183,12 @@ def test_conv2d_vjp_params_match_finite_differences(leaf):
     x = rand(50, (2, 4, 4))
     p = plain_conv(2, 2, 3, seed=51, weight_norm=True)
     cot = rand(52, (2, 4, 4))
-    _, grads = conv2d_vjp(x, p, 1, 1, cot)
+    _, grads = conv2d_vjp(x, p, cot)
     arr = getattr(p, leaf)
     analytic = grads[leaf]
 
     def loss():
-        return float(np.sum(cot * conv2d(x, p, 1, 1)))
+        return float(np.sum(cot * conv2d(x, p)))
 
     eps = 1e-6
     flat, gflat = arr.reshape(-1), analytic.reshape(-1)
@@ -280,7 +286,7 @@ def test_grads_mirror_their_record_and_add_in_place():
     assert [(n, a.shape) for n, a in total.leaf_items("w.")] == [
         ("w." + n, a.shape) for n, a in p.leaf_items()
     ]
-    _, grads = conv2d_vjp(rand(74, (2, 4, 4)), p, 1, 1, rand(75, (3, 4, 4)))
+    _, grads = conv2d_vjp(rand(74, (2, 4, 4)), p, rand(75, (3, 4, 4)))
     total.iadd(grads)
     total.iadd(grads)
     for name, arr in total.items():
@@ -312,13 +318,11 @@ def test_deconv2x2_vjp_consistency():
     )
 
 
-def test_conv1x1_identity_mixing_preserves_input():
+def test_1x1_identity_mixing_preserves_input():
     eye = np.eye(3).reshape(3, 3, 1, 1)
     p = ConvParams(eye, np.ones(3), np.zeros(3))
     x = rand(86, (3, 4, 4))
-    assert np.array_equal(conv1x1(x, p), x)
-    with pytest.raises(ShapeError):
-        conv1x1(x, plain_conv(3, 3, 3, seed=87))
+    assert np.array_equal(conv2d(x, p), x)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +346,11 @@ def test_finite_difference_grad_matches_composite_vjp():
     u = rand(93, (3, 5, 5))
 
     def f(t):
-        return float(np.sum(u * group_norm(conv2d(t, p1, 1, 1), gn)))
+        return float(np.sum(u * group_norm(conv2d(t, p1), gn)))
 
     fd = finite_difference_grad(f, x, 1e-5)
-    d_gn = group_norm_vjp(conv2d(x, p1, 1, 1), gn, u)[0]
-    analytic = conv2d_vjp(x, p1, 1, 1, d_gn)[0]
+    d_gn = group_norm_vjp(conv2d(x, p1), gn, u)[0]
+    analytic = conv2d_vjp(x, p1, d_gn)[0]
     denom = np.abs(analytic).max()
     assert np.abs(fd - analytic).max() / denom < 1e-5
 
@@ -365,7 +369,7 @@ def test_vjp_consistency_suite(op_seed):
     p3 = plain_conv(3, 2, 3, seed=100 + op_seed, weight_norm=op_seed % 2 == 0)
     gn = GroupNormParams(2, rand(110 + op_seed, (4,)) * 0.4 + 1.0, rand(111 + op_seed, (4,)) * 0.2)
     cases = [
-        (lambda t: conv2d(t, p3, 1, 1), lambda t, u: conv2d_vjp(t, p3, 1, 1, u)[0], (2, 5, 5)),
+        (lambda t: conv2d(t, p3), lambda t, u: conv2d_vjp(t, p3, u)[0], (2, 5, 5)),
         (lambda t: group_norm(t, gn), lambda t, u: group_norm_vjp(t, gn, u)[0], (4, 4, 4)),
         (lambda t: relu(t + 0.1), lambda t, u: relu_vjp(t + 0.1, u), (3, 4, 4)),
     ]
@@ -392,8 +396,8 @@ def test_operations_are_pure_and_deterministic():
     x = rand(150, (2, 5, 5))
     p = plain_conv(3, 2, 3, seed=151, weight_norm=True)
     x_copy = x.copy()
-    a = conv2d(x, p, 1, 1)
-    b = conv2d(x, p, 1, 1)
+    a = conv2d(x, p)
+    b = conv2d(x, p)
     assert np.array_equal(a, b)
     assert np.array_equal(x, x_copy)
 
@@ -402,21 +406,21 @@ def test_operations_are_pure_and_deterministic():
 # leading batch axis
 
 
-@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 1, 3), (1, 0, 1), (2, 0, 2)])
-def test_batched_conv_ops_match_stacked_per_sample_results(stride, padding, k):
+@pytest.mark.parametrize("k", [3, 1])
+def test_batched_conv_ops_match_stacked_per_sample_results(k):
     x = rand(200 + k, (5, 3, 7, 7))
-    p = plain_conv(4, 3, k, seed=201 + stride, weight_norm=True)
-    out = conv2d(x, p, stride, padding)
-    assert max_rel(out, np.stack([conv2d(xi, p, stride, padding) for xi in x])) < 1e-12
+    p = plain_conv(4, 3, k, seed=202, weight_norm=True)
+    out = conv2d(x, p)
+    assert max_rel(out, np.stack([conv2d(xi, p) for xi in x])) < 1e-12
     cot = rand(202, out.shape)
-    dx, grads = conv2d_vjp(x, p, stride, padding, cot)
-    per = [conv2d_vjp(xi, p, stride, padding, ci) for xi, ci in zip(x, cot)]
+    dx, grads = conv2d_vjp(x, p, cot)
+    per = [conv2d_vjp(xi, p, ci) for xi, ci in zip(x, cot)]
     assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
     for leaf in ("direction", "gain", "bias"):
         summed = sum(g[leaf] for _, g in per)
         assert max_rel(grads[leaf], summed) < 1e-12
     kernel = effective_kernel(p)
-    dx_only = ops.conv2d_input_vjp(kernel, x.shape, stride, padding, cot)
+    dx_only = ops.conv2d_input_vjp(kernel, cot)
     assert max_rel(dx_only, dx) < 1e-12
 
 
@@ -447,12 +451,12 @@ def test_batched_group_norm_and_deconv_match_stacked_per_sample_results():
 def test_ops_reject_maps_without_three_or_four_axes():
     p = plain_conv(2, 3, 3, seed=216)
     with pytest.raises(ShapeError):
-        conv2d(rand(217, (3, 5)), p, 1, 1)
+        conv2d(rand(217, (3, 5)), p)
     with pytest.raises(ShapeError):
-        conv2d(rand(218, (1, 2, 3, 5, 5)), p, 1, 1)
+        conv2d(rand(218, (1, 2, 3, 5, 5)), p)
     with pytest.raises(ShapeError):
         deconv2x2(rand(219, (3, 5)), plain_conv(2, 3, 2, seed=220))
     batch = rand(221, (2, 3, 5, 5))
     batch[1, 0, 0, 0] = np.inf
     with pytest.raises(NonFiniteError):
-        conv2d(batch, p, 1, 1)
+        conv2d(batch, p)
