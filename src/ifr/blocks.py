@@ -119,8 +119,9 @@ def head_grads(stage_grads: Sequence[Grads], predictor_grads: Grads) -> Grads:
 class HeadConfig:
     """Refinement-strategy selector and widths.
 
-    depth_or_budget is M for the explicit stack, N for the shared unroll,
-    and the Broyden iteration budget for the implicit head.
+    depth_or_budget is M >= 0 for the explicit stack (0 passes the feature
+    through), N >= 1 for the shared unroll, and the Broyden iteration
+    budget (>= 1) for the implicit head.
     """
 
     strategy: str
@@ -146,8 +147,9 @@ class HeadConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
-        if self.depth_or_budget < 0:
-            raise ValueError("depth_or_budget must be >= 0")
+        floor = 0 if self.strategy == EXPLICIT else 1
+        if self.depth_or_budget < floor:
+            raise ValueError(f"{self.strategy} needs depth_or_budget >= {floor}")
         if self.channels < 1 or self.predictor_classes < 1:
             raise ValueError("channels and predictor_classes must be positive")
         if self.shortcut_mode not in (SHORTCUT_IDENTITY, SHORTCUT_CONV):
@@ -402,12 +404,7 @@ def double_residual_vjp(
 def stacked_head_forward(
     params: Sequence[DoubleResidualParams], x: np.ndarray
 ) -> np.ndarray:
-    """Depth-M stack with independent per-stage parameters, from h0 = 0.
-
-    An empty stack is the 0-stage baseline and passes x through unchanged.
-    """
-    if not params:
-        return x.copy()
+    """Depth-M stack with independent per-stage parameters (see stacked_head_tapes)."""
     return stacked_head_tapes(params, x)[0]
 
 
@@ -415,8 +412,10 @@ def stacked_head_tapes(params: Sequence[DoubleResidualParams], x: np.ndarray):
     """Taped pass through the blocks in order from h0 = 0: (h, per-block tapes).
 
     The weight-shared unroll is the stack with one block repeated. An empty
-    stack returns h0 itself.
+    stack is the 0-stage baseline and passes (a copy of) x through unchanged.
     """
+    if not params:
+        return x.copy(), []
     h = np.zeros_like(x)
     tapes = []
     for i, p in enumerate(params):
@@ -477,8 +476,6 @@ def unrolled_shared_vjp(
     tapes are those of stacked_head_tapes([p] * n, x); the shared gradient
     sums the per-step gradients as they are made, last step first.
     """
-    if n == 0:
-        return np.zeros_like(x), Grads.zeros_like(p)
     if tapes is None:
         _, tapes = stacked_head_tapes([p] * n, x)
     dx_total, total = np.zeros_like(x), Grads.zeros_like(p)

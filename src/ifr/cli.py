@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from pathlib import Path
 from typing import Optional
 
@@ -67,13 +68,30 @@ class ConfigError(ValueError):
 # config loading
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build(cls, obj, section: str):
+    """cls from a JSON object section.
+
+    An int field takes only an integer (not a bool), a tuple[int, ...] field
+    only a list of them.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"config section {section!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - known
+    hints = typing.get_type_hints(cls)
+    unknown = set(obj) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {section!r}: {sorted(unknown)}")
+    obj = dict(obj)
+    for name, value in obj.items():
+        if hints[name] is int and not _is_int(value):
+            raise ConfigError(f"{section}.{name} must be an integer, got {value!r}")
+        if hints[name] == tuple[int, ...]:
+            if not (isinstance(value, list) and all(_is_int(v) for v in value)):
+                raise ConfigError(f"{section}.{name} must be a list of integers, got {value!r}")
+            obj[name] = tuple(value)
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:
@@ -110,13 +128,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in ("head", "solver", "train", "data"):
         if key not in obj:
             raise ConfigError(f"config missing required section {key!r}")
-    train_section = dict(obj["train"])
-    if "decay_points" in train_section:
-        train_section["decay_points"] = tuple(train_section["decay_points"])
     return ExperimentConfig(
         head=_build(HeadConfig, obj["head"], "head"),
         solver=_build(SolverConfig, obj["solver"], "solver"),
-        train=_build(TrainConfig, train_section, "train"),
+        train=_build(TrainConfig, obj["train"], "train"),
         data=_build(DatasetSpec, obj["data"], "data"),
         output_dir=str(obj.get("output_dir", ".")),
         dataset_path=obj.get("dataset_path"),
@@ -307,14 +322,17 @@ def cmd_param_count(args) -> int:
     if args.profile not in _PROFILES:
         raise ConfigError(f"unknown profile {args.profile!r}; expected {sorted(_PROFILES)}")
     strategy, depth, double_res = parse_strategy_token(args.strategy, default_depth=4)
-    multiplier = float(eval_multiplier(args.multiplier))
-    head = HeadConfig(
-        strategy=strategy,
-        depth_or_budget=depth if depth is not None else 15,
-        channel_multiplier=multiplier,
-        double_residual=double_res,
-        **_PROFILES[args.profile],
-    )
+    multiplier = eval_multiplier(args.multiplier)
+    try:
+        head = HeadConfig(
+            strategy=strategy,
+            depth_or_budget=depth if depth is not None else 15,
+            channel_multiplier=multiplier,
+            double_residual=double_res,
+            **_PROFILES[args.profile],
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     exact = count_parameters(head)
     rounded = round(exact / 1e6, 1)
     print(f"strategy {strategy} depth_or_budget {head.depth_or_budget} "
@@ -325,12 +343,19 @@ def cmd_param_count(args) -> int:
 
 
 def eval_multiplier(text: str) -> float:
-    """Accepts '1', '2', '0.5', or fraction syntax '1/8'."""
+    """Accepts '1', '2', '0.5', or fraction syntax '1/8'; a finite value or ConfigError."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return float(num) / float(den)
-    return float(text)
+    try:
+        if "/" in text:
+            num, _, den = text.partition("/")
+            value = float(num) / float(den)
+        else:
+            value = float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad multiplier {text!r}") from exc
+    if not np.isfinite(value):
+        raise ConfigError(f"bad multiplier {text!r}")
+    return value
 
 
 def _diagnose_linear(args, out_dir) -> int:
@@ -357,6 +382,8 @@ def cmd_diagnose(args) -> int:
     if not args.checkpoint:
         raise ConfigError("diagnose needs --checkpoint or --profile linear-1d")
     cfg, params = load_checkpoint(_resolve(args.checkpoint, out_dir))
+    if not params.stages:
+        raise ConfigError(f"checkpoint {args.checkpoint} has no refinement block to diagnose")
     block = params.stages[0]
     solver_cfg = solver_config_for(cfg, SolverConfig(rel_tol=1e-10))
     rng = CounterRng(args.seed)

@@ -2,13 +2,14 @@
 
 Each sample pairs a C x 14 x 14 feature map with a binary 1 x 28 x 28 mask.
 The feature is built so that recovering the full mask needs context beyond
-any local neighborhood: the mask is rendered at 28 x 28, average-pooled to
-14 x 14, blurred by repeated 3x3 smoothing, mixed through a fixed random
-per-channel linear encoder, corrupted with Gaussian noise, and finally a
-contiguous 5 x 5 patch is zeroed across all channels. Undoing the blur and
-filling the corrupted patch both need context integrated over distance, so
-heads with a larger effective receptive field (deeper stacks, equilibrium
-refinement) recover strictly more of the mask than shallow ones.
+any local neighborhood: the mask, the union of two random ellipses, is
+rendered at 28 x 28, average-pooled to 14 x 14, blurred by repeated 3x3
+smoothing, mixed through a fixed random per-channel linear encoder,
+corrupted with Gaussian noise, and finally a contiguous 5 x 5 patch is
+zeroed across all channels. Undoing the blur and filling the corrupted
+patch both need context integrated over distance, so heads with a larger
+effective receptive field (deeper stacks, equilibrium refinement) recover
+strictly more of the mask than shallow ones.
 
 Container format (used for datasets and checkpoints):
     magic "IFR1" | version byte 0x01 | uint32-LE header length |
@@ -36,29 +37,28 @@ MASK_SIZE = 28
 FEATURE_SIZE = 14
 PATCH_SIZE = 5
 
-SHAPE_FAMILIES = ("ellipse", "polygon", "two-blob-union")
+# seed of the fixed random per-channel encoder, shared by every dataset
+ENCODER_SEED = 7
 
 
 class ContainerError(RuntimeError):
-    code = "container"
+    """A file is not a well-formed IFR container."""
 
 
 class BadMagicError(ContainerError):
-    code = "bad_magic"
+    """The file does not start with the IFR1 magic."""
 
 
 class UnknownVersionError(ContainerError):
-    code = "unknown_version"
+    """The container version byte is not one this module reads."""
 
 
 class TruncatedPayloadError(ContainerError):
-    code = "truncated_payload"
+    """The file ends before its header or an entry's payload does."""
 
 
 class EntryMismatchError(ContainerError):
     """Declared shape/length/offset of an entry is inconsistent."""
-
-    code = "shape_length_mismatch"
 
 
 @dataclass
@@ -72,9 +72,7 @@ class DatasetSpec:
     seed: int
     count: int
     channels: int = 8
-    shape_family: str = "two-blob-union"
     noise_sigma: float = 0.05
-    encoder_seed: int = 7
     corrupt_patch: bool = True
     identity_encoder: bool = False
     blur_passes: int = 2
@@ -88,10 +86,6 @@ class DatasetSpec:
             raise ValueError("channels must be >= 1")
         if self.blur_passes < 0:
             raise ValueError("blur_passes must be >= 0")
-        if self.shape_family not in SHAPE_FAMILIES:
-            raise ValueError(
-                f"unknown shape_family {self.shape_family!r}; expected one of {SHAPE_FAMILIES}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -112,38 +106,9 @@ def _ellipse_mask(rng: CounterRng) -> np.ndarray:
     return ((u / ry) ** 2 + (v / rx) ** 2 <= 1.0).astype(np.float64)
 
 
-def _polygon_mask(rng: CounterRng) -> np.ndarray:
-    n_verts = int(rng.integers(4, 8))
-    cy = 9.0 + 10.0 * rng.uniform()
-    cx = 9.0 + 10.0 * rng.uniform()
-    angles = np.sort(2.0 * np.pi * rng.uniform((n_verts,)))
-    radii = 6.0 + 7.0 * rng.uniform((n_verts,))
-    ys = cy + radii * np.sin(angles)
-    xs = cx + radii * np.cos(angles)
-    # even-odd ray casting against each grid point
-    inside = np.zeros((MASK_SIZE, MASK_SIZE), dtype=bool)
-    j = n_verts - 1
-    for i in range(n_verts):
-        y0, x0, y1, x1 = ys[i], xs[i], ys[j], xs[j]
-        crosses = (y0 > _YY) != (y1 > _YY)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_at = (x1 - x0) * (_YY - y0) / (y1 - y0) + x0
-        inside ^= crosses & (_XX < x_at)
-        j = i
-    return inside.astype(np.float64)
-
-
 def _two_blob_mask(rng: CounterRng) -> np.ndarray:
-    a = _ellipse_mask(rng)
-    b = _ellipse_mask(rng)
-    return np.maximum(a, b)
-
-
-_RENDERERS = {
-    "ellipse": _ellipse_mask,
-    "polygon": _polygon_mask,
-    "two-blob-union": _two_blob_mask,
-}
+    """Union of two random ellipses."""
+    return np.maximum(_ellipse_mask(rng), _ellipse_mask(rng))
 
 
 def _avg_pool2(m: np.ndarray) -> np.ndarray:
@@ -173,7 +138,7 @@ def _blur3(m: np.ndarray) -> np.ndarray:
 
 def generate(spec: DatasetSpec) -> list[Sample]:
     """Deterministically synthesize `spec.count` (feature, mask) pairs."""
-    enc_rng = CounterRng(spec.encoder_seed)
+    enc_rng = CounterRng(ENCODER_SEED)
     if spec.identity_encoder:
         weights = np.ones(spec.channels)
         offsets = np.zeros(spec.channels)
@@ -186,7 +151,7 @@ def generate(spec: DatasetSpec) -> list[Sample]:
     samples: list[Sample] = []
     for i in range(spec.count):
         rng = root.split(i)
-        mask = _RENDERERS[spec.shape_family](rng)
+        mask = _two_blob_mask(rng)
         pooled = _avg_pool2(mask)
         for _ in range(spec.blur_passes):
             pooled = _blur3(pooled)

@@ -33,6 +33,8 @@ _INIT_TAG = 11
 _BATCH_TAG = 23
 
 GRAD_CLIP_NORM = 10.0
+# the learning rate is multiplied by this at each decay point
+DECAY_FACTOR = 0.1
 # share of the dataset, at its tail, that train holds out for IoU logging
 _HOLDOUT_FRACTION = 0.2
 
@@ -60,7 +62,6 @@ class TrainConfig:
     momentum: float = 0.9
     total_iters: int = 9_000
     decay_points: tuple[int, ...] = (6_000, 8_000)
-    decay_factor: float = 0.1
     warmup_iters: int = 100
     batch_size: int = 16
     seed: int = 0
@@ -85,7 +86,6 @@ class TrainState:
     momentum_coef: float
     iteration: int = 0
     loss_history: list[float] = field(default_factory=list)
-    solver_health: list[float] = field(default_factory=list)
     skipped_steps: int = 0
     head_cfg: Optional[HeadConfig] = None
     solver_cfg: Optional[SolverConfig] = None
@@ -130,7 +130,7 @@ def bce_mask_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
-    """Linear warmup from 0.1x base, then x decay_factor at each decay point."""
+    """Linear warmup from 0.1x base, then x DECAY_FACTOR at each decay point."""
     if iteration < 0 or iteration >= cfg.total_iters:
         raise ValueError(f"iteration {iteration} outside [0, {cfg.total_iters})")
     if cfg.warmup_iters > 0 and iteration < cfg.warmup_iters:
@@ -139,7 +139,7 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
         lr = cfg.base_lr
     for point in cfg.decay_points:
         if iteration >= point:
-            lr *= cfg.decay_factor
+            lr *= DECAY_FACTOR
     return lr
 
 
@@ -198,13 +198,9 @@ def sgd_step(state: TrainState, grads: Grads, lr: float) -> TrainState:
         state.momentum_coef,
         lr,
     )
-    for stage in state.params.stages:
-        floor_direction_norms(stage.w1.direction)
-        floor_direction_norms(stage.w2.direction)
-        if stage.shortcut is not None:
-            floor_direction_norms(stage.shortcut.direction)
-    floor_direction_norms(state.params.predictor.deconv.direction)
-    floor_direction_norms(state.params.predictor.proj.direction)
+    for name, leaf in state.params.leaf_items():
+        if name.endswith("direction"):
+            floor_direction_norms(leaf)
     if state.head_cfg is not None:
         apply_stability_caps(state.params, state.head_cfg)
     return state
@@ -239,8 +235,6 @@ def solver_config_for(head_cfg: HeadConfig, base: Optional[SolverConfig]) -> Sol
     """Solver settings for a head; the implicit budget comes from the head config."""
     cfg = base if base is not None else SolverConfig()
     if head_cfg.strategy == IMPLICIT:
-        if head_cfg.depth_or_budget < 1:
-            raise ValueError("implicit strategy needs a solver budget >= 1")
         cfg = replace(cfg, max_iters=head_cfg.depth_or_budget)
     return cfg
 
@@ -253,13 +247,10 @@ def _stack(samples: list[Sample]) -> Sample:
 
 def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, x):
     """Returns (refined, ctx, converged, diverged), the last two as sample counts."""
-    n = len(as_batch(x))
-    if cfg.strategy == EXPLICIT:
-        h, tapes = blocks.stacked_head_tapes(params.stages, x)
-        return (x.copy() if not params.stages else h), tapes, n, 0
-    if cfg.strategy == UNROLLED:
-        h, tapes = blocks.stacked_head_tapes([params.stages[0]] * cfg.depth_or_budget, x)
-        return h, tapes, n, 0
+    if cfg.strategy != IMPLICIT:
+        stack = params.stages if cfg.strategy == EXPLICIT else params.stages * cfg.depth_or_budget
+        h, tapes = blocks.stacked_head_tapes(stack, x)
+        return h, tapes, len(as_batch(x)), 0
     rec = stack_records([ifr_forward(params.stages[0], xi, solver_cfg) for xi in as_batch(x)])
     solves = rec.forward_result.problems
     converged = sum(solve.converged for solve in solves)
@@ -411,7 +402,6 @@ def train(
         if (it + 1) % log_every == 0 or it + 1 == train_cfg.total_iters:
             held = evaluate(state, holdout_set)
             frac = window_converged / max(window_solves, 1)
-            state.solver_health.append(frac)
             metrics.append(
                 {
                     "iter": it + 1,

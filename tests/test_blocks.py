@@ -23,6 +23,7 @@ from ifr.blocks import (
     mask_predictor_forward,
     mask_predictor_vjp,
     stacked_head_forward,
+    stacked_head_tapes,
     stacked_head_vjp,
     unrolled_shared_forward,
     unrolled_shared_vjp,
@@ -147,7 +148,9 @@ def test_block_vjp_matches_finite_differences_every_leaf():
 def test_stacked_zero_stage_is_identity():
     x = rand(20, (4, 6, 6))
     out = stacked_head_forward([], x)
-    assert np.array_equal(out, x)
+    assert np.array_equal(out, x) and out is not x
+    h, tapes = stacked_head_tapes([], x)
+    assert np.array_equal(h, x) and h is not x and tapes == []
     dx, grads = stacked_head_vjp([], x, x.copy())
     assert np.array_equal(dx, x) and grads == []
 
@@ -358,6 +361,15 @@ def test_head_config_validation():
         HeadConfig(strategy=IMPLICIT, depth_or_budget=-1)
     with pytest.raises(ValueError):
         HeadConfig(strategy=IMPLICIT, depth_or_budget=15, channels=10, channel_multiplier=1 / 4)
+
+
+@pytest.mark.parametrize("strategy,floor", [(EXPLICIT, 0), (UNROLLED, 1), (IMPLICIT, 1)])
+def test_head_config_depth_floor(strategy, floor):
+    # an explicit stack of 0 blocks passes x through; a 0-step unroll or a
+    # 0-iteration solve has no block to run
+    assert HeadConfig(strategy=strategy, depth_or_budget=floor).depth_or_budget == floor
+    with pytest.raises(ValueError, match=f"depth_or_budget >= {floor}"):
+        HeadConfig(strategy=strategy, depth_or_budget=floor - 1)
 
 
 # ---------------------------------------------------------------------------

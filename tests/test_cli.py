@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ifr import gradcheck
 from ifr.blocks import init_head
 from ifr.checkpoint import load_checkpoint, save_checkpoint
 from ifr.cli import load_experiment_config, main
@@ -76,6 +77,46 @@ def test_gen_data_round_trip_and_determinism(tmp_path, capsys):
 def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", data={"seed": 3, "count": 0, "channels": 4})
     assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.ifr")]) == 1
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"train": "ab"},
+        {"train": 5},
+        {"train": {"decay_points": 5}},
+        {"train": {"decay_points": [1.5]}},
+        {"data": {"count": 3.5}},
+        {"data": {"count": True}},
+        {"head": {"depth_or_budget": 2.5}},
+        {"train": {"batch_size": 2.5}},
+        {"train": {"total_iters": 2.5}},
+        {"head": {"depth_or_budget": 0}},
+        {"head": {"strategy": "unrolled-shared", "depth_or_budget": 0}},
+        {"data": {"shape_family": "two-blob-union"}},
+        {"data": {"encoder_seed": 7}},
+        {"train": {"decay_factor": 0.1}},
+    ],
+)
+@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, overrides, command):
+    cfg = write_config(tmp_path / "cfg.json", dataset_path="d.ifr", **overrides)
+    argv = {
+        "gen-data": ["gen-data", "--config", str(cfg), "--out", "d.ifr"],
+        "train": ["train", "--config", str(cfg)],
+        "compare": ["compare", "--config", str(cfg), "--strategies", "implicit-broyden"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"## Experiment config.*?```json\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "cfg.json").write_text(example, encoding="utf-8")
+    cfg = load_experiment_config(tmp_path / "cfg.json")
+    assert (cfg.data.count, cfg.train.decay_points) == (320, (800, 1000))
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -159,6 +200,26 @@ def test_param_count_bad_profile_is_error(capsys):
     assert main(["param-count", "--profile", "coco-maskhead", "--strategy", "bogus"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--multiplier", "0.3"],
+        ["--multiplier", "abc"],
+        ["--multiplier", "-1"],
+        ["--multiplier", "1/0"],
+        ["--multiplier", "inf"],
+        ["--strategy", "explicit-independent:-1"],
+        ["--strategy", "unrolled-shared:0"],
+        ["--strategy", "implicit-broyden:0"],
+    ],
+)
+def test_param_count_bad_input_is_config_error(capsys, flags):
+    argv = ["param-count", "--profile", "toy", "--strategy", "explicit-independent:4", *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_compare_grid_and_csv_determinism(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     args = ["compare", "--config", str(cfg), "--strategies",
@@ -219,6 +280,18 @@ def test_diagnose_needs_a_step_and_an_input(tmp_path, capsys, flags):
     assert not (tmp_path / "diag.csv").exists()
 
 
+def test_diagnose_stageless_checkpoint_is_config_error(tmp_path, capsys):
+    head = load_experiment_config(
+        write_config(tmp_path / "cfg.json",
+                     head={"strategy": "explicit-independent", "depth_or_budget": 0})
+    ).head
+    save_checkpoint(tmp_path / "c.ifr", head, init_head(CounterRng(0), head))
+    argv = ["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "c.ifr", "--steps", "5"]
+    assert main(argv) == 1
+    assert "no refinement block" in capsys.readouterr().err
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
 def test_diagnose_corrupt_checkpoint_is_io_error(tmp_path):
     bad = tmp_path / "bad.ifr"
     bad.write_bytes(b"JUNKJUNKJUNK")
@@ -243,6 +316,23 @@ def test_grad_check_reports_adjoint_convergence(capsys):
     assert lines[0].startswith("max rel error vs finite differences:")
     assert lines[1].startswith("max rel error vs unroll backprop:")
     assert lines[3] == "OK"
+
+
+def test_grad_check_fails_on_nan_gradients(capsys, monkeypatch):
+    real = gradcheck.ifr_backward
+
+    def nan_backward(rec, upstream, solver_cfg):
+        back = real(rec, upstream, solver_cfg)
+        for _, arr in back.d_params.leaf_items():
+            arr[...] = np.nan
+        return back
+
+    monkeypatch.setattr(gradcheck, "ifr_backward", nan_backward)
+    assert main(["grad-check", "--trials", "1"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("max rel error vs finite differences: inf")
+    assert lines[1].startswith("max rel error vs unroll backprop:    inf")
+    assert lines[-1] == "FAIL"
 
 
 def test_grad_check_zero_trials_is_config_error():

@@ -37,12 +37,11 @@ def test_generation_is_bit_deterministic():
 
 
 def test_sample_shapes_and_binary_masks():
-    for family in ("ellipse", "polygon", "two-blob-union"):
-        for s in generate(DatasetSpec(seed=3, count=20, channels=5, shape_family=family)):
-            assert s.feature.shape == (5, 14, 14)
-            assert s.mask.shape == (1, 28, 28)
-            assert np.all((s.mask == 0.0) | (s.mask == 1.0))
-            assert np.all(np.isfinite(s.feature))
+    for s in generate(DatasetSpec(seed=3, count=20, channels=5)):
+        assert s.feature.shape == (5, 14, 14)
+        assert s.mask.shape == (1, 28, 28)
+        assert np.all((s.mask == 0.0) | (s.mask == 1.0))
+        assert np.all(np.isfinite(s.feature))
 
 
 def test_identity_encoder_exposes_pooled_mask():
@@ -70,10 +69,9 @@ def test_corruption_zeroes_one_5x5_patch():
 
 def test_mask_foreground_fraction_calibration():
     # generator calibration bound, measured once and frozen
-    for family in ("ellipse", "polygon", "two-blob-union"):
-        samples = generate(DatasetSpec(seed=1, count=1000, channels=1, shape_family=family))
-        fraction = np.mean([s.mask.mean() for s in samples])
-        assert 0.1 <= fraction <= 0.6, (family, fraction)
+    samples = generate(DatasetSpec(seed=1, count=1000, channels=1))
+    fraction = np.mean([s.mask.mean() for s in samples])
+    assert 0.1 <= fraction <= 0.6, fraction
 
 
 def test_spec_validation():
@@ -81,8 +79,6 @@ def test_spec_validation():
         DatasetSpec(seed=1, count=0)
     with pytest.raises(ValueError):
         DatasetSpec(seed=1, count=1, noise_sigma=-0.1)
-    with pytest.raises(ValueError):
-        DatasetSpec(seed=1, count=1, shape_family="triangle")
 
 
 def test_sample_tensor_round_trip():

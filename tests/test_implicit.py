@@ -1,12 +1,13 @@
 """Equilibrium forward/backward: closed forms, oracle agreement, and the
 implicit-function-theorem gradients."""
 
+import dataclasses
 import inspect
 
 import numpy as np
 import pytest
 
-from ifr import implicit
+from ifr import gradcheck, implicit
 from ifr.blocks import unrolled_shared_forward, unrolled_shared_vjp
 from ifr.gradcheck import (
     check_block_gradients,
@@ -15,6 +16,7 @@ from ifr.gradcheck import (
     run_grad_check,
 )
 from ifr.implicit import ifr_backward, ifr_forward, stack_records
+from ifr.ops import NonFiniteError
 from ifr.rng import CounterRng
 from ifr.solver import SolverConfig, broyden_solve
 
@@ -124,6 +126,37 @@ def test_implicit_gradients_against_200_step_unroll_full_leaves():
     reference = dict(grads_u.leaf_items())
     reference["input"] = dx_u
     assert guarded_max_rel_error(approx, reference) <= 1e-3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_guarded_error_is_infinite_on_a_non_finite_entry(bad):
+    finite = {"a": np.array([1.0, 1.0])}
+    broken = {"a": np.array([bad, 1.0])}
+    assert guarded_max_rel_error(broken, finite) == np.inf
+    assert guarded_max_rel_error(finite, broken) == np.inf
+    assert guarded_max_rel_error(finite, finite) == 0.0
+
+
+def test_finite_difference_check_raises_on_a_non_finite_loss_and_restores_leaves(monkeypatch):
+    p = contractive_block(seed=12345)
+    rng = CounterRng(777)
+    x = rng.normal((8, 6, 6))
+    u = rng.normal((8, 6, 6))
+    before = [(name, arr.copy()) for name, arr in p.leaf_items()] + [("input", x.copy())]
+    cfg = SolverConfig(max_iters=15, rel_tol=1e-10)
+
+    def nan_on_tight_solves(block, feature, solver_cfg):
+        rec = ifr_forward(block, feature, solver_cfg)
+        if solver_cfg != cfg:
+            rec = dataclasses.replace(rec, equilibrium=np.full_like(rec.equilibrium, np.nan))
+        return rec
+
+    monkeypatch.setattr(gradcheck, "ifr_forward", nan_on_tight_solves)
+    with pytest.raises(NonFiniteError):
+        check_block_gradients(p, x, u, cfg)
+    after = list(p.leaf_items()) + [("input", x)]
+    assert [name for name, _ in after] == [name for name, _ in before]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(after, before))
 
 
 def test_linear_case_adjoint_exactness_vs_elimination_oracle():

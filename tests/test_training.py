@@ -155,6 +155,18 @@ def test_grads_have_the_names_order_and_shapes_of_the_params(
     assert [(name, arr.shape) for name, arr in grads.leaf_items()] == layout
 
 
+def test_sgd_step_floors_every_direction_leaf():
+    state = init_train_state(grid_head(EXPLICIT, 2), grid_train_cfg(), GRID_SOLVER)
+    directions = [arr for name, arr in state.params.leaf_items() if name.endswith("direction")]
+    assert len(directions) == 2 * 3 + 2  # w1, w2, shortcut per stage; deconv and proj
+    for arr in directions:
+        arr[...] = 0.0
+    grads = Grads((name, np.zeros_like(arr)) for name, arr in state.params.leaf_items())
+    sgd_step(state, grads, 0.1)
+    for arr in directions:
+        assert np.all(np.linalg.norm(arr.reshape(arr.shape[0], -1), axis=1) > 0.0)
+
+
 def test_sgd_step_skips_nonfinite_gradients(grid_dataset):
     state = init_train_state(grid_head(IMPLICIT, 15), grid_train_cfg(), GRID_SOLVER)
     before = {name: arr.copy() for name, arr in state.params.leaf_items()}
