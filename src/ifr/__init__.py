@@ -1,73 +1,14 @@
 """Implicit feature refinement: equilibrium mask-head refinement layers.
 
 A refinement head's output feature is the fixed point of a weight-tied
-double-residual block, solved forward with a limited-memory Broyden root
-finder and differentiated backward through the implicit function theorem.
-Explicit stacked and weight-shared unrolled baselines, convergence
-diagnostics, and a synthetic mask-refinement training harness round out the
-package.
+double-residual block, solved forward with a "good Broyden" root finder and
+differentiated backward through the implicit function theorem. Explicit
+stacked and weight-shared unrolled baselines, convergence diagnostics, and a
+synthetic mask-refinement training harness round out the package.
+
+Every name is reached through its module, as `ifr.<module>.<name>`.
 """
 
-from .blocks import (
-    EXPLICIT,
-    IMPLICIT,
-    STRATEGIES,
-    UNROLLED,
-    DoubleResidualParams,
-    HeadConfig,
-    HeadParams,
-    count_parameters,
-    double_residual_forward,
-    double_residual_vjp,
-    init_head,
-    mask_predictor_forward,
-    stacked_head_forward,
-    unrolled_shared_forward,
-)
-from .data import DatasetSpec, Sample, generate, load_container, save_container
-from .diagnostics import ConvergenceReport, implicit_gap, spectral_radius, unroll_convergence
-from .implicit import IfrForwardRecord, ifr_backward, ifr_forward
-from .solver import SolverConfig, SolverResult, broyden_solve, fixed_point_iterate
-from .training import TrainConfig, TrainState, bce_mask_loss, evaluate, lr_at, sgd_step, train
+from . import blocks, data, diagnostics, implicit, solver, training  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EXPLICIT",
-    "IMPLICIT",
-    "STRATEGIES",
-    "UNROLLED",
-    "ConvergenceReport",
-    "DatasetSpec",
-    "DoubleResidualParams",
-    "HeadConfig",
-    "HeadParams",
-    "IfrForwardRecord",
-    "Sample",
-    "SolverConfig",
-    "SolverResult",
-    "TrainConfig",
-    "TrainState",
-    "bce_mask_loss",
-    "broyden_solve",
-    "count_parameters",
-    "double_residual_forward",
-    "double_residual_vjp",
-    "evaluate",
-    "fixed_point_iterate",
-    "generate",
-    "ifr_backward",
-    "ifr_forward",
-    "implicit_gap",
-    "init_head",
-    "load_container",
-    "lr_at",
-    "mask_predictor_forward",
-    "save_container",
-    "sgd_step",
-    "spectral_radius",
-    "stacked_head_forward",
-    "train",
-    "unroll_convergence",
-    "unrolled_shared_forward",
-]

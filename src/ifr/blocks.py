@@ -489,19 +489,24 @@ def unrolled_shared_vjp(
 # predictor tail
 
 
-def mask_predictor_forward(p: MaskPredictorParams, h: np.ndarray) -> np.ndarray:
-    """Refined feature (C, H, W) to logits (classes, 2H, 2W)."""
-    d = ops.deconv2x2(h, p.deconv)
-    return ops.conv2d(ops.relu(d), p.proj)
+def mask_predictor_forward(p: MaskPredictorParams, h: np.ndarray, keep_tape: bool = False):
+    """Refined feature (C, H, W) to logits (classes, 2H, 2W).
+
+    With keep_tape, returns (logits, a): a is the ReLU of the upsampled
+    feature, the one intermediate mask_predictor_vjp reads.
+    """
+    a = ops.relu(ops.deconv2x2(h, p.deconv))
+    logits = ops.conv2d(a, p.proj)
+    return (logits, a) if keep_tape else logits
 
 
 def mask_predictor_vjp(
-    p: MaskPredictorParams, h: np.ndarray, cotangent: np.ndarray
+    p: MaskPredictorParams, h: np.ndarray, a: np.ndarray, cotangent: np.ndarray
 ) -> tuple[np.ndarray, Grads]:
-    d = ops.deconv2x2(h, p.deconv)
-    a = ops.relu(d)
+    """Adjoints w.r.t. h and the predictor's leaves, given the forward's tape a."""
     d_a, proj_g = ops.conv2d_vjp(a, p.proj, cotangent)
-    d_d = ops.relu_vjp(d, d_a)
+    # a > 0 exactly where the deconv output is, so a masks like the ReLU's input
+    d_d = ops.relu_vjp(a, d_a)
     d_h, deconv_g = ops.deconv2x2_vjp(h, p.deconv, d_d)
     return d_h, Grads(ops.nested_leaf_items("", _predictor_parts(deconv_g, proj_g)))
 

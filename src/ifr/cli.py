@@ -108,9 +108,6 @@ class ExperimentConfig:
     dataset_path: Optional[str] = None
 
 
-_TOP_KEYS = {"head", "solver", "train", "data", "output_dir", "dataset_path"}
-
-
 def load_experiment_config(path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -122,12 +119,13 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("top-level config must be an object")
-    unknown = set(obj) - _TOP_KEYS
+    fields = dataclasses.fields(ExperimentConfig)
+    unknown = set(obj) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {sorted(unknown)}")
-    for key in ("head", "solver", "train", "data"):
-        if key not in obj:
-            raise ConfigError(f"config missing required section {key!r}")
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in obj:
+            raise ConfigError(f"config missing required section {f.name!r}")
     return ExperimentConfig(
         head=_build(HeadConfig, obj["head"], "head"),
         solver=_build(SolverConfig, obj["solver"], "solver"),
@@ -211,12 +209,19 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-@dataclasses.dataclass
-class CompareCell:
-    index: int
-    strategy: str
-    depth_or_budget: int
-    double_residual: bool
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} {text!r}") from exc
+
+
+def _head_config(build, *args, **kwargs) -> HeadConfig:
+    """build(*args, **kwargs), a HeadConfig; its ValueError becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_strategy_token(token: str, default_depth: int) -> tuple[str, Optional[int], bool]:
@@ -229,10 +234,7 @@ def parse_strategy_token(token: str, default_depth: int) -> tuple[str, Optional[
     depth: Optional[int] = None
     if ":" in token:
         token, _, depth_text = token.partition(":")
-        try:
-            depth = int(depth_text)
-        except ValueError as exc:
-            raise ConfigError(f"bad depth in strategy token {token!r}:{depth_text!r}") from exc
+        depth = _parse_int(depth_text, f"depth in strategy token {token!r}:")
     if token not in STRATEGIES:
         raise ConfigError(f"unknown strategy {token!r}; expected one of {STRATEGIES}")
     if depth is None and token != IMPLICIT:
@@ -240,65 +242,51 @@ def parse_strategy_token(token: str, default_depth: int) -> tuple[str, Optional[
     return token, depth, double_residual
 
 
-def _expand_cells(args, cfg: ExperimentConfig) -> list[CompareCell]:
-    budgets = [int(b) for b in args.budgets.split(",")] if args.budgets else []
-    cells: list[CompareCell] = []
+def _expand_cells(args, cfg: ExperimentConfig) -> list[HeadConfig]:
+    """The config's head with each cell's strategy, depth or budget, and residual switch."""
+    budgets = [_parse_int(b, "budget") for b in args.budgets.split(",")] if args.budgets else []
+    cells: list[HeadConfig] = []
     for token in args.strategies.split(","):
         strategy, depth, double_res = parse_strategy_token(token, cfg.head.depth_or_budget)
         if strategy == IMPLICIT and depth is None:
-            for budget in budgets or [cfg.head.depth_or_budget]:
-                cells.append(CompareCell(len(cells), strategy, budget, double_res))
+            depths = budgets or [cfg.head.depth_or_budget]
         else:
-            cells.append(CompareCell(len(cells), strategy, depth, double_res))
+            depths = [depth]
+        cells.extend(
+            _head_config(dataclasses.replace, cfg.head, strategy=strategy,
+                         depth_or_budget=d, double_residual=double_res)
+            for d in depths
+        )
     if not cells:
         raise ConfigError("no strategy cells requested")
     return cells
 
 
-def _run_cell(cell: CompareCell, cfg: ExperimentConfig, dataset) -> list:
-    head = dataclasses.replace(
-        cfg.head,
-        strategy=cell.strategy,
-        depth_or_budget=cell.depth_or_budget,
-        double_residual=cell.double_residual,
-    )
+def _run_cell(head: HeadConfig, cfg: ExperimentConfig, dataset) -> list:
     params = count_parameters(head)
     state, metrics = train(head, cfg.train, dataset, solver_cfg=cfg.solver)
     last = metrics[-1] if metrics else {"held_out_iou": float("nan"), "loss": float("nan"),
                                         "solver_converged_frac": float("nan")}
-    return [
-        cell.index,
-        cell.strategy,
-        cell.depth_or_budget,
-        int(cell.double_residual),
-        params,
-        last["held_out_iou"],
-        last["loss"],
-        last["solver_converged_frac"],
-        "ok",
-    ]
+    return [params, last["held_out_iou"], last["loss"], last["solver_converged_frac"], "ok"]
 
 
 def cmd_compare(args) -> int:
     cfg = load_experiment_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
+    cells = _expand_cells(args, cfg)
     if cfg.dataset_path is not None:
         dataset = _load_dataset(cfg, out_dir)
     else:
         dataset = generate(cfg.data)
-    cells = _expand_cells(args, cfg)
 
-    def safe_run(cell: CompareCell) -> list:
+    def safe_run(index: int, head: HeadConfig) -> list:
         try:
-            return _run_cell(cell, cfg, dataset)
+            result = _run_cell(head, cfg, dataset)
         except Exception as exc:  # per-cell failures recorded, command continues
-            return [
-                cell.index, cell.strategy, cell.depth_or_budget,
-                int(cell.double_residual), "", "", "", "",
-                f"error: {exc}",
-            ]
+            result = ["", "", "", "", f"error: {exc}"]
+        return [index, head.strategy, head.depth_or_budget, int(head.double_residual), *result]
 
-    rows = [safe_run(c) for c in cells]
+    rows = [safe_run(i, head) for i, head in enumerate(cells)]
     columns = [
         "cell", "strategy", "depth_or_budget", "double_residual",
         "param_count", "final_iou", "final_loss", "solver_converged_frac", "status",
@@ -323,16 +311,14 @@ def cmd_param_count(args) -> int:
         raise ConfigError(f"unknown profile {args.profile!r}; expected {sorted(_PROFILES)}")
     strategy, depth, double_res = parse_strategy_token(args.strategy, default_depth=4)
     multiplier = eval_multiplier(args.multiplier)
-    try:
-        head = HeadConfig(
-            strategy=strategy,
-            depth_or_budget=depth if depth is not None else 15,
-            channel_multiplier=multiplier,
-            double_residual=double_res,
-            **_PROFILES[args.profile],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    head = _head_config(
+        HeadConfig,
+        strategy=strategy,
+        depth_or_budget=depth if depth is not None else 15,
+        channel_multiplier=multiplier,
+        double_residual=double_res,
+        **_PROFILES[args.profile],
+    )
     exact = count_parameters(head)
     rounded = round(exact / 1e6, 1)
     print(f"strategy {strategy} depth_or_budget {head.depth_or_budget} "
@@ -397,7 +383,7 @@ def cmd_diagnose(args) -> int:
         for j, est in enumerate(report.spectral_radius_estimates):
             rows.append([i, "spectral_radius", probe_steps[j], est])
         if report.diverged:
-            rows.append([i, "diverged_at", report.steps, 1.0])
+            rows.append([i, "diverged_at", len(report.norm_diff_trace), 1.0])
             print(f"input {i}: divergence flagged ({report.note})")
             continue
         final = report.norm_diff_trace[-1] if report.norm_diff_trace else float("nan")

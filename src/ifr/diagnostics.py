@@ -35,8 +35,7 @@ _POWER_ITERS = 60
 class ConvergenceReport:
     norm_diff_trace: list[float]
     spectral_radius_estimates: list[float]
-    steps: int
-    # the last finite iterate: h after `steps` applications of F unless diverged
+    # the last finite iterate: h after len(norm_diff_trace) applications of F
     endpoint: np.ndarray
     diverged: bool = False
     note: str = ""
@@ -85,7 +84,6 @@ def unroll_convergence(
     return ConvergenceReport(
         norm_diff_trace=trace,
         spectral_radius_estimates=radius_estimates,
-        steps=len(trace),
         endpoint=h,
         diverged=diverged,
         note=note,

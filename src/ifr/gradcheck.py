@@ -60,12 +60,8 @@ def guarded_max_rel_error(
     return worst
 
 
-def contractive_block(
-    seed: int,
-    channels: int = 8,
-    weight_norm: bool = True,
-) -> DoubleResidualParams:
-    """A randomly initialized block whose map h -> F(h; x) contracts.
+def contractive_block(seed: int, channels: int = 8) -> DoubleResidualParams:
+    """A randomly initialized weight-normed block whose map h -> F(h; x) contracts.
 
     The final group-norm scale and the 1x1-conv shortcut gain are drawn
     small enough that the block Jacobian stays well inside the unit disc.
@@ -78,7 +74,7 @@ def contractive_block(
         channels,
         channels,
         shortcut_mode=SHORTCUT_CONV,
-        weight_norm=weight_norm,
+        weight_norm=True,
         gn2_scale_init=gn2_scale,
         shortcut_gain_init=shortcut_gain,
     )

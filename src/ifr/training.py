@@ -84,17 +84,16 @@ class TrainState:
     params: HeadParams
     momentum: dict[str, np.ndarray]
     momentum_coef: float
+    head_cfg: HeadConfig
+    solver_cfg: SolverConfig
     iteration: int = 0
     loss_history: list[float] = field(default_factory=list)
     skipped_steps: int = 0
-    head_cfg: Optional[HeadConfig] = None
-    solver_cfg: Optional[SolverConfig] = None
 
 
 @dataclass
 class EvalMetrics:
     mean_iou: float
-    pixel_accuracy: float
     mean_loss: float
 
 
@@ -201,8 +200,7 @@ def sgd_step(state: TrainState, grads: Grads, lr: float) -> TrainState:
     for name, leaf in state.params.leaf_items():
         if name.endswith("direction"):
             floor_direction_norms(leaf)
-    if state.head_cfg is not None:
-        apply_stability_caps(state.params, state.head_cfg)
+    apply_stability_caps(state.params, state.head_cfg)
     return state
 
 
@@ -288,9 +286,9 @@ def sample_loss_and_grads(
     gradients. A finite-depth strategy counts every sample as converged.
     """
     h, ctx, converged, diverged = _refine_forward(params, cfg, solver_cfg, sample.feature)
-    logits = blocks.mask_predictor_forward(params.predictor, h)
+    logits, pred_tape = blocks.mask_predictor_forward(params.predictor, h, keep_tape=True)
     loss, d_logits = bce_mask_loss(logits, sample.mask)
-    d_h, pred_grads = blocks.mask_predictor_vjp(params.predictor, h, d_logits)
+    d_h, pred_grads = blocks.mask_predictor_vjp(params.predictor, h, pred_tape, d_logits)
     stage_grads, adjoint_unconverged = _refine_vjp(
         params, cfg, solver_cfg, ctx, sample.feature, d_h
     )
@@ -317,12 +315,10 @@ def init_train_state(
 
 
 def evaluate(state: TrainState, dataset: list[Sample]) -> EvalMetrics:
-    """Mean mask IoU at threshold 0.5 (logits > 0), pixel accuracy, mean loss."""
+    """Mean mask IoU at threshold 0.5 (logits > 0) and mean loss."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
-    if state.head_cfg is None or state.solver_cfg is None:
-        raise ValueError("train state carries no head/solver configuration")
-    iou_total = acc_total = loss_total = 0.0
+    iou_total = loss_total = 0.0
     for start in range(0, len(dataset), EVAL_CHUNK):
         chunk = _stack(dataset[start : start + EVAL_CHUNK])
         h, _, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg, chunk.feature)
@@ -335,9 +331,8 @@ def evaluate(state: TrainState, dataset: list[Sample]) -> EvalMetrics:
             inter = float(np.sum(pred & truth))
             union = float(np.sum(pred | truth))
             iou_total += 1.0 if union == 0 else inter / union
-            acc_total += float(np.mean(pred == truth))
     n = len(dataset)
-    return EvalMetrics(iou_total / n, acc_total / n, loss_total / n)
+    return EvalMetrics(iou_total / n, loss_total / n)
 
 
 # ---------------------------------------------------------------------------

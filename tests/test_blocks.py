@@ -264,11 +264,16 @@ def test_mask_predictor_doubles_spatial_extent():
     assert logits.shape == (3, 28, 28)
 
 
+def predictor_vjp(p, h, cot):
+    _, a = mask_predictor_forward(p, h, keep_tape=True)
+    return mask_predictor_vjp(p, h, a, cot)
+
+
 def test_mask_predictor_vjp_matches_finite_differences():
     p = init_mask_predictor(CounterRng(54), 4, 2)
     h = rand(55, (4, 6, 6))
     cot = rand(56, (2, 12, 12))
-    dh, grads = mask_predictor_vjp(p, h, cot)
+    dh, grads = predictor_vjp(p, h, cot)
     fd = finite_difference_grad(
         lambda t: float(np.sum(cot * mask_predictor_forward(p, t))), h
     )
@@ -415,8 +420,8 @@ def test_batched_predictor_forward_and_vjp_match_per_sample():
     assert logits.shape == (5, 2, 12, 12)
     assert max_rel(logits, np.stack([mask_predictor_forward(p, hi) for hi in h])) < 1e-12
     cot = rand(46, logits.shape)
-    d_h, grads = mask_predictor_vjp(p, h, cot)
-    per = [mask_predictor_vjp(p, hi, ci) for hi, ci in zip(h, cot)]
+    d_h, grads = predictor_vjp(p, h, cot)
+    per = [predictor_vjp(p, hi, ci) for hi, ci in zip(h, cot)]
     assert max_rel(d_h, np.stack([d for d, _ in per])) < 1e-12
     for name, arr in grads.leaf_items():
         summed = sum(dict(g.leaf_items())[name] for _, g in per)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifr import gradcheck
+from ifr import cli, gradcheck
 from ifr.blocks import init_head
 from ifr.checkpoint import load_checkpoint, save_checkpoint
 from ifr.cli import load_experiment_config, main
@@ -234,6 +234,44 @@ def test_compare_grid_and_csv_determinism(tmp_path):
 
     assert main(args) == 0
     assert (tmp_path / "compare.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--budgets", "abc"],
+        ["--budgets", "3,"],
+        ["--budgets", "0"],
+        ["--budgets", "-2"],
+        ["--strategies", "unrolled-shared:0"],
+        ["--strategies", "explicit-independent:-1"],
+        ["--strategies", "implicit-broyden:x"],
+    ],
+)
+def test_compare_bad_cell_is_config_error_before_training(tmp_path, capsys, monkeypatch, flags):
+    cfg = write_config(tmp_path / "cfg.json")
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a cell trained"))
+    argv = ["compare", "--config", str(cfg), "--strategies", "implicit-broyden", *flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_compare_records_a_failing_cell_as_an_error_row(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json")
+
+    def failing(head, *args, **kwargs):
+        raise FloatingPointError(f"{head.strategy} blew up")
+
+    monkeypatch.setattr(cli, "train", failing)
+    assert main(["compare", "--config", str(cfg), "--strategies",
+                 "explicit-independent:1,implicit-broyden", "--budgets", "2,3",
+                 "--out", "c.csv"]) == 0
+    _, rows = read_csv(tmp_path / "c.csv")
+    assert [row[:4] for row in rows] == [["0", "explicit-independent", "1", "1"],
+                                         ["1", "implicit-broyden", "2", "1"],
+                                         ["2", "implicit-broyden", "3", "1"]]
+    assert rows[1][-1] == "error: implicit-broyden blew up"
 
 
 def test_compare_nores_token(tmp_path):

@@ -23,7 +23,6 @@ def test_unroll_convergence_geometric_trace():
     x = np.ones((1, 1, 1))
     report = unroll_convergence(p, x, 10)
     assert report.norm_diff_trace == [2.0**-k for k in range(10)]
-    assert report.steps == 10
     assert not report.diverged
 
 
@@ -39,7 +38,7 @@ def test_unroll_convergence_flags_expanding_map():
     x = np.ones((1, 1, 1))
     report = unroll_convergence(p, x, 200)
     assert report.diverged
-    assert report.steps < 200
+    assert len(report.norm_diff_trace) < 200
     assert report.note
 
 

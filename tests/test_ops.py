@@ -228,7 +228,7 @@ def test_group_norm_statistics_oracle():
     grouped_out = out.reshape(3, -1)
     v = grouped_in.var(axis=1)
     assert np.abs(grouped_out.mean(axis=1)).max() < 1e-10
-    expected_var = v / (v + p.epsilon)
+    expected_var = v / (v + ops.GROUP_NORM_EPSILON)
     assert np.abs(grouped_out.var(axis=1) - expected_var).max() < 1e-8
 
 
