@@ -154,6 +154,9 @@ class HeadConfig:
             raise ValueError("channels and predictor_classes must be positive")
         if self.shortcut_mode not in (SHORTCUT_IDENTITY, SHORTCUT_CONV):
             raise ValueError(f"unknown shortcut_mode {self.shortcut_mode!r}")
+        for cap in (self.gn2_scale_cap, self.shortcut_gain_cap):
+            if cap is not None and not cap > 0:
+                raise ValueError(f"a set magnitude cap must be positive, got {cap}")
         mid = self.channels * self.channel_multiplier
         if mid < 1 or abs(mid - round(mid)) > 1e-9:
             raise ValueError(
@@ -274,7 +277,6 @@ class BlockTape:
     r: np.ndarray
     xhat1: np.ndarray
     inv_std1: np.ndarray
-    mask1: np.ndarray
     a1: np.ndarray
     xhat2: np.ndarray
     inv_std2: np.ndarray
@@ -306,7 +308,7 @@ def _block_forward(
         out = out + (r if ks is None else ops._conv2d_core(r, ks, p.shortcut.bias))
     if not keep_tape:
         return out
-    return out, BlockTape(r, xhat1, inv_std1, g1 > 0.0, a1, xhat2, inv_std2, k1, k2, ks)
+    return out, BlockTape(r, xhat1, inv_std1, a1, xhat2, inv_std2, k1, k2, ks)
 
 
 def _check_operands(p: DoubleResidualParams, h: np.ndarray, x: np.ndarray) -> None:
@@ -339,32 +341,25 @@ def block_vjp_from_tape(
     (the adjoint fixed-point loop only needs dR).
     """
     d_c2 = ops.group_norm_input_vjp(tape.xhat2, tape.inv_std2, p.gn2, cotangent)
-    if want_params:
-        d_a1, w2_g = ops.conv2d_vjp(tape.a1, p.w2, d_c2)
-    else:
-        d_a1 = ops.conv2d_input_vjp(tape.k2, d_c2)
-    d_g1 = np.where(tape.mask1, d_a1, 0.0)
+    # a1 = relu(g1) > 0 exactly where g1 > 0
+    d_g1 = np.where(tape.a1 > 0.0, ops.conv2d_input_vjp(tape.k2, d_c2), 0.0)
     d_c1 = ops.group_norm_input_vjp(tape.xhat1, tape.inv_std1, p.gn1, d_g1)
-    if want_params:
-        d_r, w1_g = ops.conv2d_vjp(tape.r, p.w1, d_c1)
-    else:
-        d_r = ops.conv2d_input_vjp(tape.k1, d_c1)
-    shortcut_g = None
+    d_r = ops.conv2d_input_vjp(tape.k1, d_c1)
     if p.residual_enabled:
-        if p.shortcut is None:
-            d_r = d_r + cotangent
-        else:
-            if want_params:
-                d_r_s, shortcut_g = ops.conv2d_vjp(tape.r, p.shortcut, cotangent)
-            else:
-                d_r_s = ops.conv2d_input_vjp(tape.k_shortcut, cotangent)
-            d_r = d_r + d_r_s
+        ks = tape.k_shortcut
+        d_r = d_r + (cotangent if ks is None else ops.conv2d_input_vjp(ks, cotangent))
     if not want_params:
         return d_r, None
+    shortcut_g = None
+    if p.shortcut is not None:
+        if p.residual_enabled:
+            shortcut_g = ops.conv2d_param_grads(tape.r, p.shortcut, cotangent)
+        else:
+            shortcut_g = Grads.zeros_like(p.shortcut)
+    w1_g = ops.conv2d_param_grads(tape.r, p.w1, d_c1)
+    w2_g = ops.conv2d_param_grads(tape.a1, p.w2, d_c2)
     gn1_g = ops.group_norm_param_grads(tape.xhat1, d_g1)
     gn2_g = ops.group_norm_param_grads(tape.xhat2, cotangent)
-    if p.shortcut is not None and shortcut_g is None:
-        shortcut_g = Grads.zeros_like(p.shortcut)
     parts = _block_parts(w1_g, gn1_g, w2_g, gn2_g, shortcut_g)
     return d_r, Grads(ops.nested_leaf_items("", parts))
 
@@ -384,17 +379,6 @@ def block_apply_factory(p: DoubleResidualParams, x: np.ndarray):
     """
     kernels = _effective_kernels(p)
     return lambda h: _block_forward(p, kernels, h, x)
-
-
-def double_residual_vjp(
-    p: DoubleResidualParams, h: np.ndarray, x: np.ndarray, cotangent: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, Grads]:
-    """Exact adjoints of double_residual_forward w.r.t. h, x and parameters."""
-    out, tape = block_forward_tape(p, h, x)
-    if cotangent.shape != out.shape:
-        raise ShapeError(f"cotangent shape {cotangent.shape} != output shape {out.shape}")
-    d_r, grads = block_vjp_from_tape(p, tape, cotangent)
-    return d_r, d_r.copy(), grads
 
 
 # ---------------------------------------------------------------------------
@@ -426,34 +410,25 @@ def stacked_head_tapes(params: Sequence[DoubleResidualParams], x: np.ndarray):
     return h, tapes
 
 
-def _stack_backward(params: Sequence[DoubleResidualParams], tapes, cotangent: np.ndarray):
-    """(dR, parameter grads) of each taped block, top block first.
-
-    dR is the adjoint of the block's input R = h + x: it is the cotangent
-    passed down to the block below and one term of the adjoint of x.
-    """
-    d_h = cotangent
-    for p, tape in zip(reversed(params), reversed(tapes)):
-        d_h, grads = block_vjp_from_tape(p, tape, d_h)
-        yield d_h, grads
-
-
 def stacked_head_vjp(
     params: Sequence[DoubleResidualParams],
     x: np.ndarray,
     cotangent: np.ndarray,
     tapes=None,
 ) -> tuple[np.ndarray, list[Grads]]:
+    """(dx, per-stage grads) of stacked_head_tapes(params, x); each block's dR is
+    the cotangent of the block below and one term of dx (h0 = 0 takes none)."""
     if not params:
         return cotangent.copy(), []
     if tapes is None:
         _, tapes = stacked_head_tapes(params, x)
     dx_total = np.zeros_like(x)
     grads = []
-    for d_r, block_grads in _stack_backward(params, tapes, cotangent):
-        dx_total += d_r
+    d_h = cotangent
+    for p, tape in zip(reversed(params), reversed(tapes)):
+        d_h, block_grads = block_vjp_from_tape(p, tape, d_h)
+        dx_total += d_h
         grads.append(block_grads)
-    # the bottom stage's dR propagates no further: h0 is the constant zero
     return dx_total, grads[::-1]
 
 
@@ -474,13 +449,11 @@ def unrolled_shared_vjp(
     """Backpropagation through the n-step unroll, accumulating shared grads.
 
     tapes are those of stacked_head_tapes([p] * n, x); the shared gradient
-    sums the per-step gradients as they are made, last step first.
+    sums the per-step gradients last step first.
     """
-    if tapes is None:
-        _, tapes = stacked_head_tapes([p] * n, x)
-    dx_total, total = np.zeros_like(x), Grads.zeros_like(p)
-    for d_r, grads in _stack_backward([p] * n, tapes, cotangent):
-        dx_total += d_r
+    dx_total, step_grads = stacked_head_vjp([p] * n, x, cotangent, tapes)
+    total = Grads.zeros_like(p)
+    for grads in reversed(step_grads):
         total.iadd(grads)
     return dx_total, total
 

@@ -24,9 +24,11 @@ from .blocks import (
 from .data import EntryMismatchError, load_container, save_container
 from .rng import CounterRng
 
-# string fields are stored as their index into the tuple of allowed values
-_CODES = {"strategy": STRATEGIES, "shortcut_mode": (SHORTCUT_IDENTITY, SHORTCUT_CONV)}
 _HINTS = typing.get_type_hints(HeadConfig)
+# string and bool fields are stored as their index into the tuple of allowed
+# values; an int field as itself, so it must read back as an exact integer
+_CODES = {name: (False, True) for name, hint in _HINTS.items() if hint is bool}
+_CODES.update(strategy=STRATEGIES, shortcut_mode=(SHORTCUT_IDENTITY, SHORTCUT_CONV))
 
 
 def _config_tensors(cfg: HeadConfig) -> dict[str, np.ndarray]:
@@ -51,13 +53,19 @@ def _read_config(tensors: dict[str, np.ndarray]) -> HeadConfig:
             if f.default is None:
                 continue
             raise EntryMismatchError(f"checkpoint missing {key!r}")
-        value = float(tensors[key].reshape(-1)[0])
-        if f.name in _CODES:
-            value = _CODES[f.name][int(value)]
-        elif _HINTS[f.name] in (int, bool):
-            value = _HINTS[f.name](value)
+        entry = tensors[key].reshape(-1)
+        if entry.size != 1:
+            raise EntryMismatchError(f"checkpoint entry {key!r} holds {entry.size} values, not 1")
+        value, codes = float(entry[0]), _CODES.get(f.name)
+        if codes or _HINTS[f.name] is int:
+            if not (value.is_integer() and 0 <= value < (len(codes) if codes else np.inf)):
+                raise EntryMismatchError(f"checkpoint entry {key!r} holds {value!r}")
+            value = codes[int(value)] if codes else int(value)
         values[f.name] = value
-    return HeadConfig(**values)
+    try:
+        return HeadConfig(**values)
+    except ValueError as exc:
+        raise EntryMismatchError(f"checkpoint head config: {exc}") from exc
 
 
 def save_checkpoint(path, cfg: HeadConfig, params: HeadParams) -> None:

@@ -285,11 +285,10 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
 
 
 def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.ndarray, Grads]:
-    """Adjoints of conv2d w.r.t. input and every parameter leaf (summed over a batch)."""
+    """Input adjoint and parameter-leaf gradients of conv2d, after checking both operands."""
     x = check_maps(x, "conv2d input")
     cotangent = check_maps(cotangent, "conv2d cotangent")
     kernel = effective_kernel(p)
-    k = _kernel_size(kernel)
     out_c, in_c = kernel.shape[:2]
     c, h, w = x.shape[-3:]
     if c != in_c:
@@ -299,10 +298,14 @@ def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.
             f"cotangent shape {cotangent.shape} does not match output "
             f"{x.shape[:-3] + (out_c, h, w)}"
         )
-    cols = _patches(as_batch(x), k)
-    d_kernel = (_channel_rows(cotangent) @ cols.T).reshape(kernel.shape)
-    dx = conv2d_input_vjp(kernel, cotangent)
-    return dx, _kernel_vjp(p, d_kernel, _channel_sum(cotangent))
+    return conv2d_input_vjp(kernel, cotangent), conv2d_param_grads(x, p, cotangent)
+
+
+def conv2d_param_grads(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> Grads:
+    """Parameter-leaf gradients of conv2d (summed over a batch), unchecked."""
+    cols = _patches(as_batch(x), _kernel_size(p.direction))
+    d_kernel = (_channel_rows(cotangent) @ cols.T).reshape(p.direction.shape)
+    return _kernel_vjp(p, d_kernel, _channel_sum(cotangent))
 
 
 def conv2d_input_vjp(kernel: np.ndarray, cotangent: np.ndarray) -> np.ndarray:

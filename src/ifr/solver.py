@@ -44,6 +44,8 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        if not self.divergence_factor > 0:
+            raise ValueError("divergence_factor must be positive")
 
 
 @dataclass

@@ -96,6 +96,10 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"data": {"shape_family": "two-blob-union"}},
         {"data": {"encoder_seed": 7}},
         {"train": {"decay_factor": 0.1}},
+        {"solver": {"max_iters": 8, "divergence_factor": 0}},
+        {"solver": {"max_iters": 8, "divergence_factor": -1}},
+        {"head": {"gn2_scale_cap": 0}},
+        {"head": {"shortcut_gain_cap": -0.25}},
     ],
 )
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
@@ -334,6 +338,33 @@ def test_diagnose_corrupt_checkpoint_is_io_error(tmp_path):
     bad = tmp_path / "bad.ifr"
     bad.write_bytes(b"JUNKJUNKJUNK")
     assert main(["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "bad.ifr"]) == 3
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("strategy", [7.0]),
+        ("strategy", [-1.0]),
+        ("strategy", [np.nan]),
+        ("shortcut_mode", [2.0]),
+        ("channels", [4.5]),
+        ("weight_norm", [2.0]),
+        ("channels", []),
+        ("channels", [4.0, 4.0]),
+        ("channels", [0.0]),
+        ("depth_or_budget", [0.0]),
+    ],
+)
+def test_diagnose_bad_checkpoint_config_entry_is_io_error(tmp_path, capsys, key, value):
+    head = load_experiment_config(write_config(tmp_path / "cfg.json")).head
+    save_checkpoint(tmp_path / "c.ifr", head, init_head(CounterRng(0), head))
+    tensors = load_container(tmp_path / "c.ifr")
+    tensors[f"config/{key}"] = np.array(value)
+    save_container(tmp_path / "bad.ifr", tensors)
+    argv = ["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "bad.ifr", "--steps", "5"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "diagnostics.csv").exists()
 
 
 def test_grad_check_ok_and_negative_control(capsys):
