@@ -12,7 +12,8 @@ def measure(params, holdout, budget=15):
     for s in holdout[:6]:
         rec = implicit.ifr_forward(p, s.feature, tight)
         rhos.append(diagnostics.spectral_radius(p, s.feature, rec.equilibrium, probes=2, power_iters=50, seed=5))
-        gaps.append(diagnostics.implicit_gap(p, s.feature, tight, 3000))
+        unrolled = blocks.unrolled_shared_forward(p, s.feature, 3000)[0]
+        gaps.append(diagnostics.implicit_gap(p, s.feature, tight, unrolled))
         k = next((i for i, r in enumerate(rec.forward_result.residual_trace) if r < 1e-6), None)
         iters_to_tol.append(k)
     return max(rhos), max(gaps), iters_to_tol

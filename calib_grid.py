@@ -1,7 +1,7 @@
 """Full strategy/budget grid at the candidate desk preset."""
 import time
 import numpy as np
-from ifr import data, diagnostics, implicit, solver, training
+from ifr import blocks, data, diagnostics, implicit, solver, training
 from ifr.blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig
 
 GN2_INIT, GN2_CAP = 0.08, 0.08
@@ -48,7 +48,8 @@ rhos, gaps, it2t = [], [], []
 for s in hold[:10]:
     rec = implicit.ifr_forward(p, s.feature, tight)
     rhos.append(diagnostics.spectral_radius(p, s.feature, rec.equilibrium, probes=3, power_iters=60, seed=5))
-    gaps.append(diagnostics.implicit_gap(p, s.feature, tight, 10000))
+    unrolled = blocks.unrolled_shared_forward(p, s.feature, 10000)[0]
+    gaps.append(diagnostics.implicit_gap(p, s.feature, tight, unrolled))
     k = next((i for i, r in enumerate(rec.forward_result.residual_trace) if r < 1e-6), None)
     it2t.append(k)
 print('rho max', max(rhos), 'gap max', max(gaps), 'iters-to-1e-6', it2t, flush=True)

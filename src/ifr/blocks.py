@@ -154,6 +154,9 @@ class HeadConfig:
             raise ValueError("channels and predictor_classes must be positive")
         if self.shortcut_mode not in (SHORTCUT_IDENTITY, SHORTCUT_CONV):
             raise ValueError(f"unknown shortcut_mode {self.shortcut_mode!r}")
+        for init in (self.gn2_scale_init, self.shortcut_gain_init):
+            if not np.isfinite(init):
+                raise ValueError(f"an init value must be finite, got {init}")
         for cap in (self.gn2_scale_cap, self.shortcut_gain_cap):
             if cap is not None and not cap > 0:
                 raise ValueError(f"a set magnitude cap must be positive, got {cap}")
@@ -410,24 +413,30 @@ def stacked_head_tapes(params: Sequence[DoubleResidualParams], x: np.ndarray):
     return h, tapes
 
 
+def _stack_backward(params: Sequence[DoubleResidualParams], x: np.ndarray, cotangent, tapes):
+    """(dR, grads) of each block of stacked_head_tapes(params, x), last block first;
+    each block's dR is the cotangent of the block below and one term of dx."""
+    if tapes is None:
+        _, tapes = stacked_head_tapes(params, x)
+    d_h = cotangent
+    for p, tape in zip(reversed(params), reversed(tapes)):
+        d_h, grads = block_vjp_from_tape(p, tape, d_h)
+        yield d_h, grads
+
+
 def stacked_head_vjp(
     params: Sequence[DoubleResidualParams],
     x: np.ndarray,
     cotangent: np.ndarray,
     tapes=None,
 ) -> tuple[np.ndarray, list[Grads]]:
-    """(dx, per-stage grads) of stacked_head_tapes(params, x); each block's dR is
-    the cotangent of the block below and one term of dx (h0 = 0 takes none)."""
+    """(dx, per-stage grads) of stacked_head_tapes(params, x); h0 = 0 takes no dx term."""
     if not params:
         return cotangent.copy(), []
-    if tapes is None:
-        _, tapes = stacked_head_tapes(params, x)
     dx_total = np.zeros_like(x)
     grads = []
-    d_h = cotangent
-    for p, tape in zip(reversed(params), reversed(tapes)):
-        d_h, block_grads = block_vjp_from_tape(p, tape, d_h)
-        dx_total += d_h
+    for d_r, block_grads in _stack_backward(params, x, cotangent, tapes):
+        dx_total += d_r
         grads.append(block_grads)
     return dx_total, grads[::-1]
 
@@ -449,11 +458,11 @@ def unrolled_shared_vjp(
     """Backpropagation through the n-step unroll, accumulating shared grads.
 
     tapes are those of stacked_head_tapes([p] * n, x); the shared gradient
-    sums the per-step gradients last step first.
+    sums each step's gradient as it is produced, last step first.
     """
-    dx_total, step_grads = stacked_head_vjp([p] * n, x, cotangent, tapes)
-    total = Grads.zeros_like(p)
-    for grads in reversed(step_grads):
+    dx_total, total = np.zeros_like(x), Grads.zeros_like(p)
+    for d_r, grads in _stack_backward([p] * n, x, cotangent, tapes):
+        dx_total += d_r
         total.iadd(grads)
     return dx_total, total
 

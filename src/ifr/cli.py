@@ -389,7 +389,7 @@ def cmd_diagnose(args) -> int:
         final = report.norm_diff_trace[-1] if report.norm_diff_trace else float("nan")
         rho_end = spectral_radius(block, x, report.endpoint)
         rows.append([i, "spectral_radius_at_end", args.steps, rho_end])
-        gap = implicit_gap(block, x, solver_cfg, args.steps)
+        gap = implicit_gap(block, x, solver_cfg, report.endpoint)
         rows.append([i, "implicit_gap", args.steps, gap])
         print(f"input {i}: final norm diff {final:.3e}, end radius {rho_end:.4f}, gap {gap:.3e}")
     out_path = _resolve(args.out, out_dir)

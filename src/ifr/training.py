@@ -70,6 +70,10 @@ class TrainConfig:
         self.decay_points = tuple(int(p) for p in self.decay_points)
         if self.total_iters < 0 or self.warmup_iters < 0 or self.batch_size < 1:
             raise ValueError("total_iters/warmup_iters must be >= 0, batch_size >= 1")
+        if not 0 < self.base_lr < np.inf:
+            raise ValueError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         if any(b <= a for a, b in zip(self.decay_points, self.decay_points[1:])):
             raise ValueError("decay_points must be strictly increasing")
         if self.decay_points:

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from ifr import data, training
-from ifr.blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig, count_parameters
+from ifr.blocks import (
+    EXPLICIT,
+    IMPLICIT,
+    UNROLLED,
+    HeadConfig,
+    count_parameters,
+    unrolled_shared_forward,
+)
 from ifr.diagnostics import estimate_spectral_radius, implicit_gap, spectral_radius
 from ifr.gradcheck import run_grad_check
 from ifr.implicit import ifr_forward
@@ -75,7 +82,10 @@ def test_criterion_3_fixed_point_fidelity(trained_implicit, grid_dataset):
     block = trained_implicit.state.params.stages[0]
     cfg = SolverConfig(max_iters=15, rel_tol=1e-12)
     holdout = grid_dataset[-10:]
-    gaps = [implicit_gap(block, s.feature, cfg, 10_000) for s in holdout]
+    gaps = [
+        implicit_gap(block, s.feature, cfg, unrolled_shared_forward(block, s.feature, 10_000)[0])
+        for s in holdout
+    ]
     ok = max(gaps) <= 1e-6
     _report(
         3, ok,

@@ -8,13 +8,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifr import cli, gradcheck
-from ifr.blocks import init_head
+from ifr import cli, diagnostics, gradcheck
+from ifr.blocks import block_apply_factory, init_head
 from ifr.checkpoint import load_checkpoint, save_checkpoint
 from ifr.cli import load_experiment_config, main
 from ifr.data import load_container, save_container
+from ifr.diagnostics import unroll_convergence
 from ifr.gradcheck import run_grad_check
+from ifr.implicit import ifr_forward
 from ifr.rng import CounterRng
+from ifr.solver import SolverConfig
+from ifr.training import solver_config_for
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -100,6 +104,13 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"solver": {"max_iters": 8, "divergence_factor": -1}},
         {"head": {"gn2_scale_cap": 0}},
         {"head": {"shortcut_gain_cap": -0.25}},
+        {"train": {"base_lr": float("nan")}},
+        {"train": {"base_lr": -1}},
+        {"train": {"base_lr": 0}},
+        {"train": {"momentum": 2.0}},
+        {"train": {"momentum": -0.1}},
+        {"head": {"gn2_scale_init": float("nan")}},
+        {"head": {"shortcut_gain_init": float("inf")}},
     ],
 )
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
@@ -311,6 +322,33 @@ def test_diagnose_trained_checkpoint(tmp_path):
     assert "norm_diff" in metrics
 
 
+def test_diagnose_gap_reads_the_one_unroll_it_traces(tmp_path, monkeypatch):
+    head = load_experiment_config(write_config(tmp_path / "cfg.json")).head
+    params = init_head(CounterRng(0), head)
+    save_checkpoint(tmp_path / "c.ifr", head, params)
+    calls = []
+
+    def counting_factory(p, x):
+        apply = block_apply_factory(p, x)
+        return lambda h: calls.append(1) or apply(h)
+
+    monkeypatch.setattr(diagnostics, "block_apply_factory", counting_factory)
+    assert main(["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "c.ifr",
+                 "--steps", "200", "--inputs", "2", "--seed", "5", "--out", "diag.csv"]) == 0
+    monkeypatch.undo()
+    assert len(calls) == 2 * 200
+    _, rows = read_csv(tmp_path / "diag.csv")
+    gaps = [float(r[3]) for r in rows if r[1] == "implicit_gap"]
+    block, rng = params.stages[0], CounterRng(5)
+    solver_cfg = solver_config_for(head, SolverConfig(rel_tol=1e-10))
+    expected = []
+    for i in range(2):
+        x = rng.split(i).normal((head.channels, 14, 14))
+        root = ifr_forward(block, x, solver_cfg).equilibrium
+        expected.append(float(np.max(np.abs(root - unroll_convergence(block, x, 200).endpoint))))
+    assert gaps == expected
+
+
 @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "-3"], ["--inputs", "0"]])
 def test_diagnose_needs_a_step_and_an_input(tmp_path, capsys, flags):
     head = load_experiment_config(write_config(tmp_path / "cfg.json")).head
@@ -353,6 +391,8 @@ def test_diagnose_corrupt_checkpoint_is_io_error(tmp_path):
         ("channels", [4.0, 4.0]),
         ("channels", [0.0]),
         ("depth_or_budget", [0.0]),
+        ("gn2_scale_init", [np.nan]),
+        ("shortcut_gain_init", [np.inf]),
     ],
 )
 def test_diagnose_bad_checkpoint_config_entry_is_io_error(tmp_path, capsys, key, value):

@@ -111,14 +111,23 @@ def test_spectral_radius_shape_mismatch():
 def test_implicit_gap_linear_proxy_tiny():
     p = linear_proxy_block(slope=0.5, offset=0.5)
     x = np.ones((1, 1, 1))
-    gap = implicit_gap(p, x, SolverConfig(max_iters=30, rel_tol=1e-14), 200)
+    unrolled = unrolled_shared_forward(p, x, 200)[0]
+    gap = implicit_gap(p, x, SolverConfig(max_iters=30, rel_tol=1e-14), unrolled)
     assert gap < 1e-12
+
+
+@pytest.mark.parametrize("unrolled", [200, np.zeros((1, 2, 1)), np.zeros(1)])
+def test_implicit_gap_needs_an_endpoint_of_the_input_shape(unrolled):
+    p = linear_proxy_block(slope=0.5, offset=0.5)
+    with pytest.raises(ValueError):
+        implicit_gap(p, np.ones((1, 1, 1)), SolverConfig(), unrolled)
 
 
 def test_implicit_gap_shrinks_with_budget(corpus_block):
     x = rand(2, (8, 6, 6))
+    unrolled = unrolled_shared_forward(corpus_block, x, 2000)[0]
     gaps = [
-        implicit_gap(corpus_block, x, SolverConfig(max_iters=b, rel_tol=1e-13), 2000)
+        implicit_gap(corpus_block, x, SolverConfig(max_iters=b, rel_tol=1e-13), unrolled)
         for b in (3, 5, 10, 15, 20)
     ]
     assert all(b <= a * 1.001 + 1e-15 for a, b in zip(gaps, gaps[1:]))
