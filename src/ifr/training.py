@@ -39,8 +39,12 @@ DECAY_FACTOR = 0.1
 _HOLDOUT_FRACTION = 0.2
 
 # evaluate runs its refine and predictor passes over chunks of this many
-# samples; a larger chunk is faster per sample but holds more memory, and 8
-# keeps the peak at that of a training batch of 8
+# samples. A larger chunk is not faster per sample: on a 2-core VM with one
+# BLAS thread an explicit M=4 head at init took 582, 575 and 781 us a sample
+# at 8, 32 and 128, and an implicit head about 4 ms at every size, since each
+# sample solves its own root. Past 8 the chunk's temporaries come from fresh
+# pages (at 128, 18-29 minor faults and 110-170 us of kernel time a sample;
+# none at 8), and the peak grows with the chunk (3 MB at 8, 48 MB at 128).
 EVAL_CHUNK = 8
 
 

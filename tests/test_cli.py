@@ -111,6 +111,8 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"train": {"momentum": -0.1}},
         {"head": {"gn2_scale_init": float("nan")}},
         {"head": {"shortcut_gain_init": float("inf")}},
+        {"data": {"noise_sigma": float("nan")}},
+        {"data": {"noise_sigma": float("inf")}},
     ],
 )
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])

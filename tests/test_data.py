@@ -11,6 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifr.data import (
+    CHUNK,
+    ENCODER_SEED,
+    FEATURE_SIZE,
+    MASK_SIZE,
+    PATCH_SIZE,
     BadMagicError,
     ContainerError,
     DatasetSpec,
@@ -23,8 +28,91 @@ from ifr.data import (
     save_container,
     tensors_to_samples,
 )
+from ifr.rng import CounterRng
 
 from conftest import rand
+
+
+# ---------------------------------------------------------------------------
+# per-sample reference: the generator as it was before it drew in chunks
+
+_YY, _XX = np.meshgrid(np.arange(MASK_SIZE), np.arange(MASK_SIZE), indexing="ij")
+
+
+def _ref_ellipse_mask(rng):
+    cy = 7.0 + 14.0 * rng.uniform()
+    cx = 7.0 + 14.0 * rng.uniform()
+    ry = 4.0 + 6.0 * rng.uniform()
+    rx = 4.0 + 6.0 * rng.uniform()
+    theta = 2.0 * np.pi * rng.uniform()
+    dy, dx = _YY - cy, _XX - cx
+    u = dy * np.cos(theta) + dx * np.sin(theta)
+    v = -dy * np.sin(theta) + dx * np.cos(theta)
+    return ((u / ry) ** 2 + (v / rx) ** 2 <= 1.0).astype(np.float64)
+
+
+def _ref_blur3(m):
+    padded = np.zeros((m.shape[0] + 2, m.shape[1] + 2))
+    padded[1:-1, 1:-1] = m
+    padded[1:-1, 1:-1] = 0.25 * padded[:-2, 1:-1] + 0.5 * padded[1:-1, 1:-1] + 0.25 * padded[2:, 1:-1]
+    return 0.25 * padded[1:-1, :-2] + 0.5 * padded[1:-1, 1:-1] + 0.25 * padded[1:-1, 2:]
+
+
+def _reference_generate(spec):
+    enc_rng = CounterRng(ENCODER_SEED)
+    if spec.identity_encoder:
+        weights, offsets = np.ones(spec.channels), np.zeros(spec.channels)
+    else:
+        weights = 0.5 + enc_rng.uniform((spec.channels,)) * 1.5
+        weights *= np.where(enc_rng.uniform((spec.channels,)) < 0.5, -1.0, 1.0)
+        offsets = enc_rng.normal((spec.channels,)) * 0.3
+    root = CounterRng(spec.seed)
+    out = []
+    for i in range(spec.count):
+        rng = root.split(i)
+        mask = np.maximum(_ref_ellipse_mask(rng), _ref_ellipse_mask(rng))
+        pooled = mask.reshape(FEATURE_SIZE, 2, FEATURE_SIZE, 2).mean(axis=(1, 3))
+        for _ in range(spec.blur_passes):
+            pooled = _ref_blur3(pooled)
+        feature = weights[:, None, None] * pooled[None] + offsets[:, None, None]
+        if spec.noise_sigma > 0:
+            feature = feature + spec.noise_sigma * rng.normal(feature.shape)
+        if spec.corrupt_patch:
+            top = int(rng.integers(0, FEATURE_SIZE - PATCH_SIZE + 1))
+            left = int(rng.integers(0, FEATURE_SIZE - PATCH_SIZE + 1))
+            feature[:, top : top + PATCH_SIZE, left : left + PATCH_SIZE] = 0.0
+        out.append((feature, mask[None]))
+    return out
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(seed=1, channels=8),  # the desk preset
+        dict(seed=2, channels=8, noise_sigma=0.15, blur_passes=4),  # the README data options
+        dict(seed=3, channels=5, identity_encoder=True, corrupt_patch=False, noise_sigma=0.0),
+    ],
+    ids=["desk", "readme", "identity-clean"],
+)
+@pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2])
+def test_chunked_generation_matches_the_per_sample_reference(options, count):
+    spec = DatasetSpec(count=count, **options)
+    samples = generate(spec)
+    reference = _reference_generate(spec)
+    assert len(samples) == len(reference) == count
+    for s, (feature, mask) in zip(samples, reference):
+        assert s.feature.dtype == feature.dtype and s.feature.shape == feature.shape
+        assert s.feature.tobytes() == feature.tobytes()
+        assert s.mask.dtype == mask.dtype and s.mask.shape == mask.shape
+        assert s.mask.tobytes() == mask.tobytes()
+
+
+def test_a_dataset_is_the_prefix_of_a_larger_one():
+    small = generate(DatasetSpec(seed=4, count=CHUNK + 3, channels=3))
+    large = generate(DatasetSpec(seed=4, count=3 * CHUNK, channels=3))
+    for s1, s2 in zip(small, large):
+        assert s1.feature.tobytes() == s2.feature.tobytes()
+        assert s1.mask.tobytes() == s2.mask.tobytes()
 
 
 def test_generation_is_bit_deterministic():
@@ -77,8 +165,9 @@ def test_mask_foreground_fraction_calibration():
 def test_spec_validation():
     with pytest.raises(ValueError):
         DatasetSpec(seed=1, count=0)
-    with pytest.raises(ValueError):
-        DatasetSpec(seed=1, count=1, noise_sigma=-0.1)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DatasetSpec(seed=1, count=1, noise_sigma=sigma)
 
 
 def test_sample_tensor_round_trip():
