@@ -36,7 +36,7 @@ rhos, gaps, it2t = [], [], []
 for s in hold[:10]:
     rec = implicit.ifr_forward(p, s.feature, tight)
     rhos.append(diagnostics.spectral_radius(p, s.feature, rec.equilibrium, probes=3, power_iters=60, seed=5))
-    unrolled = blocks.unrolled_shared_forward(p, s.feature, 10000)[0]
+    unrolled = solver.fixed_point_iterate(blocks.block_apply_factory(p, s.feature), np.zeros_like(s.feature), 10000)[0]
     gaps.append(diagnostics.implicit_gap(p, s.feature, tight, unrolled))
     it2t.append(next((i for i, r in enumerate(rec.forward_result.residual_trace) if r < 1e-6), None))
 print('rho max', round(max(rhos),3), 'gap max %.2e' % max(gaps), 'it2t', it2t, flush=True)

@@ -22,7 +22,7 @@ import numpy as np
 from . import ops
 from .ops import ConvParams, Grads, GroupNormParams, ShapeError, default_group_count
 from .rng import CounterRng
-from .solver import DivergenceError, fixed_point_iterate
+from .solver import DivergenceError
 
 EXPLICIT = "explicit-independent"
 UNROLLED = "unrolled-shared"
@@ -439,13 +439,6 @@ def stacked_head_vjp(
         dx_total += d_r
         grads.append(block_grads)
     return dx_total, grads[::-1]
-
-
-def unrolled_shared_forward(
-    p: DoubleResidualParams, x: np.ndarray, n: int
-) -> tuple[np.ndarray, list[float]]:
-    """n weight-shared applications from h0 = 0; trace of step-size norms."""
-    return fixed_point_iterate(block_apply_factory(p, x), np.zeros_like(x), n)
 
 
 def unrolled_shared_vjp(

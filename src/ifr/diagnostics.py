@@ -23,9 +23,8 @@ from .blocks import (
 )
 from .implicit import ifr_forward
 from .rng import CounterRng
-from .solver import SolverConfig
+from .solver import RUNAWAY_FACTOR, DivergenceError, SolverConfig, fixed_point_steps
 
-_GROWTH_GUARD = 1e6
 # the spectral-radius probes of unroll_convergence
 _PROBES = 3
 _POWER_ITERS = 60
@@ -47,45 +46,41 @@ def unroll_convergence(
     steps: int,
     probe_steps: Sequence[int] = (),
 ) -> ConvergenceReport:
-    """Iterate h <- F(h; x) for `steps`, recording step-size norms.
+    """Iterate h <- F(h; x) from h = 0 for `steps`, recording step-size norms.
 
-    Optionally estimates the spectral radius of dF/dh at the iterates whose
-    indices appear in probe_steps (_PROBES probe vectors, Krylov dimension
-    _POWER_ITERS, seeded by the step index). The trace is truncated with an
-    annotation if an iterate goes non-finite or the step size outgrows its
-    start by a large factor.
+    The iteration is solver.fixed_point_steps. Optionally estimates the
+    spectral radius of dF/dh at the iterates whose indices appear in
+    probe_steps (_PROBES probe vectors, Krylov dimension _POWER_ITERS,
+    seeded by the step index). The trace ends, flagged as diverged with a
+    note, before a step whose iterate or norm is non-finite and after a
+    runaway step.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     probe_set = set(int(s) for s in probe_steps)
-    apply = block_apply_factory(p, x)
     h = np.zeros_like(x)
     trace: list[float] = []
     radius_estimates: list[float] = []
-    diverged = False
     note = ""
-    for i in range(steps):
-        if i in probe_set:
-            radius_estimates.append(
-                spectral_radius(p, x, h, probes=_PROBES, power_iters=_POWER_ITERS, seed=i)
-            )
-        h_next = apply(h)
-        if not np.isfinite(h_next.sum()):
-            diverged = True
-            note = f"non-finite iterate at step {i}"
-            break
-        diff = float(np.linalg.norm(h_next - h))
-        trace.append(diff)
-        h = h_next
-        if trace[0] > 0 and diff > _GROWTH_GUARD * trace[0]:
-            diverged = True
-            note = f"step size grew {_GROWTH_GUARD:.0e}-fold by step {i}"
-            break
+    iterates = fixed_point_steps(block_apply_factory(p, x), h, steps)
+    try:
+        for i in range(steps):
+            if i in probe_set:
+                radius_estimates.append(
+                    spectral_radius(p, x, h, probes=_PROBES, power_iters=_POWER_ITERS, seed=i)
+                )
+            h, diff, runaway = next(iterates)
+            trace.append(diff)
+            if runaway:
+                note = f"step size grew {RUNAWAY_FACTOR:.0e}-fold by step {i}"
+                break
+    except DivergenceError as err:
+        note = f"non-finite iterate at step {err.step}"
     return ConvergenceReport(
         norm_diff_trace=trace,
         spectral_radius_estimates=radius_estimates,
         endpoint=h,
-        diverged=diverged,
+        diverged=bool(note),
         note=note,
     )
 

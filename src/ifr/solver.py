@@ -10,19 +10,21 @@ leading axis, each with its own history (one row of an (N, m, d) stack),
 tolerance test, divergence guard and best iterate, so one batched call of
 the residual map serves them all; a single problem is the N = 1 case.
 Each step applies the estimate B once and B^T once: B g is carried across
-the rank-one update. A plain fixed-point iterator is the package's untaped
-unroll loop and the long-horizon oracle the solver is tested against.
+the rank-one update. A plain fixed-point iterator is the package's one
+untaped unroll loop, the long-horizon oracle the solver is tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 _REL_EPS = 1e-9
+DIVERGENCE_FACTOR = 1e3
+RUNAWAY_FACTOR = 1e6
 
 
 class DivergenceError(RuntimeError):
@@ -37,15 +39,12 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     max_iters: int = 15
     rel_tol: float = 1e-6
-    divergence_factor: float = 1e3
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if not self.divergence_factor > 0:
-            raise ValueError("divergence_factor must be positive")
 
 
 @dataclass
@@ -96,7 +95,7 @@ def broyden_solve(
     the smallest recorded relative residual among those whose absolute
     residual |g(x_k)| is no larger than |g(x0)|, so a solve never returns a
     point worse than its start. The solve stops as diverged when |g(x_k)|
-    outgrows divergence_factor * |g(x0)|.
+    outgrows DIVERGENCE_FACTOR * |g(x0)|.
 
     With batched=True, x0 stacks N independent problems on its leading axis
     and residual_fn maps such a stack to the stack of their residuals. Each
@@ -143,7 +142,7 @@ def broyden_solve(
     notes = [""] * n
     # the relative residual at x0 = 0 is |g| / 1e-9, so divergence is
     # measured on the absolute residual
-    runaway = [cfg.divergence_factor * gn for gn in start_norm]
+    runaway = [DIVERGENCE_FACTOR * gn for gn in start_norm]
     # B g is carried from step to step (B+ g = B g + u (v . g) after a
     # rank-one update), so each step applies B and B^T once
     b_g = -g
@@ -233,28 +232,40 @@ def broyden_solve(
     return BatchedSolverResult(root, problems) if batched else problems[0]
 
 
-def fixed_point_iterate(
-    map_fn: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    n: int,
-) -> tuple[np.ndarray, list[float]]:
-    """n applications of map_fn with the successive-difference norm trace.
+def fixed_point_steps(
+    map_fn: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, n: int
+) -> Iterator[tuple[np.ndarray, float, bool]]:
+    """Yields (x_{k+1}, |x_{k+1} - x_k|, runaway) for the steps k < n from x0.
 
-    Raises DivergenceError (with the step index) on a non-finite iterate or
-    a step whose norm overflows.
+    A runaway step, longer than RUNAWAY_FACTOR times the first step (when
+    that is > 0), is the last one yielded. A non-finite iterate or step norm
+    raises DivergenceError with its step index. Each step runs when its item
+    is asked for, so a caller can use an iterate before the next step.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x0, dtype=np.float64).copy()
-    trace: list[float] = []
+    x = np.asarray(x0, dtype=np.float64)
     for i in range(n):
         x_next = map_fn(x)
-        if not np.all(np.isfinite(x_next)):
-            raise DivergenceError(f"fixed-point iterate non-finite at step {i}", step=i)
+        # x is finite, so a non-finite x_next makes the norm non-finite too
         with np.errstate(over="ignore", invalid="ignore"):
             step = float(np.linalg.norm(x_next - x))
-        if not np.isfinite(step):
-            raise DivergenceError(f"fixed-point step norm non-finite at step {i}", step=i)
-        trace.append(step)
+        if not math.isfinite(step):
+            raise DivergenceError(f"fixed-point step non-finite at step {i}", step=i)
+        first = step if i == 0 else first
         x = x_next
+        runaway = first > 0 and step > RUNAWAY_FACTOR * first
+        yield x, step, runaway
+        if runaway:
+            return
+
+
+def fixed_point_iterate(
+    map_fn: Callable[[np.ndarray], np.ndarray], x0: np.ndarray, n: int
+) -> tuple[np.ndarray, list[float]]:
+    """The last iterate of fixed_point_steps(map_fn, x0, n) (x0 for n = 0) and
+    the trace of step norms, shorter than n if a runaway step stopped it."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    x, trace = np.array(x0, dtype=np.float64), []
+    for x, step, _ in fixed_point_steps(map_fn, x, n):
+        trace.append(step)
     return x, trace

@@ -14,14 +14,14 @@ from ifr.blocks import (
     IMPLICIT,
     UNROLLED,
     HeadConfig,
+    block_apply_factory,
     count_parameters,
-    unrolled_shared_forward,
 )
 from ifr.diagnostics import estimate_spectral_radius, implicit_gap, spectral_radius
 from ifr.gradcheck import run_grad_check
 from ifr.implicit import ifr_forward
 from ifr.rng import CounterRng
-from ifr.solver import SolverConfig
+from ifr.solver import SolverConfig, fixed_point_iterate
 
 from conftest import GRID_DATA, GRID_SOLVER, grid_head, grid_train_cfg
 
@@ -83,7 +83,8 @@ def test_criterion_3_fixed_point_fidelity(trained_implicit, grid_dataset):
     cfg = SolverConfig(max_iters=15, rel_tol=1e-12)
     holdout = grid_dataset[-10:]
     gaps = [
-        implicit_gap(block, s.feature, cfg, unrolled_shared_forward(block, s.feature, 10_000)[0])
+        implicit_gap(block, s.feature, cfg, fixed_point_iterate(
+            block_apply_factory(block, s.feature), np.zeros_like(s.feature), 10_000)[0])
         for s in holdout
     ]
     ok = max(gaps) <= 1e-6

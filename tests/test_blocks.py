@@ -24,11 +24,11 @@ from ifr.blocks import (
     stacked_head_forward,
     stacked_head_tapes,
     stacked_head_vjp,
-    unrolled_shared_forward,
     unrolled_shared_vjp,
 )
 from ifr.ops import ConvParams, GroupNormParams, ShapeError, finite_difference_grad
 from ifr.rng import CounterRng
+from ifr.solver import fixed_point_iterate
 
 from conftest import max_rel, rand
 
@@ -171,7 +171,7 @@ def test_stacked_shared_values_equal_unrolled_step_for_step():
     p = small_block(seed=23)
     x = rand(24, (4, 6, 6))
     stacked = stacked_head_forward([p, p, p, p], x)
-    unrolled, trace = unrolled_shared_forward(p, x, 4)
+    unrolled, trace = fixed_point_iterate(blocks.block_apply_factory(p, x), np.zeros_like(x), 4)
     assert np.array_equal(stacked, unrolled)
     assert len(trace) == 4
 
@@ -179,21 +179,22 @@ def test_stacked_shared_values_equal_unrolled_step_for_step():
 def test_unrolled_zero_steps():
     p = small_block(seed=25)
     x = rand(26, (4, 6, 6))
-    out, trace = unrolled_shared_forward(p, x, 0)
+    out, trace = fixed_point_iterate(blocks.block_apply_factory(p, x), np.zeros_like(x), 0)
     assert not out.any() and trace == []
 
 
 def test_unrolled_linear_proxy_geometric_series():
     p = linear_proxy_block(slope=0.5, offset=0.5)
     x = np.ones((1, 1, 1))  # F(h; 1) = 0.5 h + 1
-    out, trace = unrolled_shared_forward(p, x, 3)
+    out, trace = fixed_point_iterate(blocks.block_apply_factory(p, x), np.zeros_like(x), 3)
     assert out[0, 0, 0] == 1.75
     assert trace == [1.0, 0.5, 0.25]
 
 
 def test_unrolled_long_run_contracts_below_tolerance(corpus_block):
     x = rand(27, (8, 6, 6))
-    _, trace = unrolled_shared_forward(corpus_block, x, 1000)
+    _, trace = fixed_point_iterate(
+        blocks.block_apply_factory(corpus_block, x), np.zeros_like(x), 1000)
     assert trace[-1] < 1e-6
     # eventually strictly decreasing (before the steps underflow to zero)
     window = [t for t in trace if t > 1e-13][-60:]
@@ -204,7 +205,7 @@ def test_unrolled_divergence_reports_step_index():
     p = linear_proxy_block(slope=1e8, offset=0.0)  # wildly expanding map
     x = np.full((1, 1, 1), 1e300)
     with pytest.raises(DivergenceError) as err:
-        unrolled_shared_forward(p, x, 50)
+        fixed_point_iterate(blocks.block_apply_factory(p, x), np.zeros_like(x), 50)
     assert err.value.step >= 0
 
 
@@ -224,16 +225,14 @@ def test_unrolled_vjp_matches_finite_differences():
     x = rand(36, (4, 6, 6))
     cot = rand(37, (4, 6, 6))
     dx, grads = unrolled_shared_vjp(p, x, 3, cot)
-    fd = finite_difference_grad(
-        lambda t: float(np.sum(cot * unrolled_shared_forward(p, t, 3)[0])), x
-    )
+    fd = finite_difference_grad(lambda t: float(np.sum(cot * fixed_point_iterate(
+        blocks.block_apply_factory(p, t), np.zeros_like(t), 3)[0])), x)
     assert np.abs(dx - fd).max() / np.abs(fd).max() < 1e-5
     grad_map = dict(grads.leaf_items())
     scale = max(np.abs(g).max() for g in grad_map.values())
     for name, arr in list(p.leaf_items())[:4]:
-        fd = finite_difference_grad(
-            lambda _t: float(np.sum(cot * unrolled_shared_forward(p, x, 3)[0])), arr
-        )
+        fd = finite_difference_grad(lambda _t: float(np.sum(cot * fixed_point_iterate(
+            blocks.block_apply_factory(p, x), np.zeros_like(x), 3)[0])), arr)
         denom = max(np.abs(fd).max(), 1e-6 * scale)
         assert np.abs(grad_map[name] - fd).max() / denom < 1e-4, name
 

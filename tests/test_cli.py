@@ -100,8 +100,8 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"data": {"shape_family": "two-blob-union"}},
         {"data": {"encoder_seed": 7}},
         {"train": {"decay_factor": 0.1}},
-        {"solver": {"max_iters": 8, "divergence_factor": 0}},
-        {"solver": {"max_iters": 8, "divergence_factor": -1}},
+        {"solver": {"max_iters": 8, "divergence_factor": 1e3}},
+        {"solver": {"max_iters": 8, "divergence_factor": 10.0}},
         {"head": {"gn2_scale_cap": 0}},
         {"head": {"shortcut_gain_cap": -0.25}},
         {"train": {"base_lr": float("nan")}},

@@ -1,9 +1,11 @@
 """Convergence traces, spectral-radius estimation, implicit/unroll gap."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from ifr.blocks import double_residual_forward, unrolled_shared_forward
+from ifr.blocks import block_apply_factory, double_residual_forward
 from ifr.diagnostics import (
     block_jacobian_apply,
     estimate_spectral_radius,
@@ -12,7 +14,7 @@ from ifr.diagnostics import (
     unroll_convergence,
 )
 from ifr.rng import CounterRng
-from ifr.solver import SolverConfig
+from ifr.solver import SolverConfig, fixed_point_iterate
 
 from conftest import rand
 from test_blocks import linear_proxy_block
@@ -42,6 +44,31 @@ def test_unroll_convergence_flags_expanding_map():
     assert report.note
 
 
+def test_fixed_point_iterate_stops_where_unroll_convergence_flags_growth():
+    # the step norms grow 1.7-fold per step, past 1e6 times the first at step 27
+    p = linear_proxy_block(slope=1.7, offset=0.0)
+    x = np.ones((1, 1, 1))
+    report = unroll_convergence(p, x, 200)
+    h, trace = fixed_point_iterate(block_apply_factory(p, x), np.zeros_like(x), 200)
+    assert report.note == f"step size grew 1e+06-fold by step {len(trace) - 1}"
+    assert trace == report.norm_diff_trace
+    assert len(trace) == 28
+    assert h.tobytes() == report.endpoint.tobytes()
+
+
+def test_unroll_convergence_flags_a_step_norm_overflow_at_its_step():
+    # F(0) = 1e308 is finite, but the norm of that first step overflows
+    p = linear_proxy_block(slope=1e8, offset=0.0)
+    x = np.full((1, 1, 1), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = unroll_convergence(p, x, 20)
+    assert report.diverged
+    assert report.note == "non-finite iterate at step 0"
+    assert report.norm_diff_trace == []
+    assert not report.endpoint.any()
+
+
 def test_unroll_convergence_probes_spectral_radius():
     p = linear_proxy_block(slope=0.5, offset=0.5)
     x = np.ones((1, 1, 1))
@@ -53,7 +80,7 @@ def test_unroll_convergence_probes_spectral_radius():
 def test_unroll_convergence_endpoint_is_the_unrolled_forward(corpus_block):
     x = rand(11, (8, 6, 6))
     report = unroll_convergence(corpus_block, x, 300)
-    unrolled, _ = unrolled_shared_forward(corpus_block, x, 300)
+    unrolled, _ = fixed_point_iterate(block_apply_factory(corpus_block, x), np.zeros_like(x), 300)
     assert report.endpoint.tobytes() == unrolled.tobytes()
 
 
@@ -111,7 +138,7 @@ def test_spectral_radius_shape_mismatch():
 def test_implicit_gap_linear_proxy_tiny():
     p = linear_proxy_block(slope=0.5, offset=0.5)
     x = np.ones((1, 1, 1))
-    unrolled = unrolled_shared_forward(p, x, 200)[0]
+    unrolled = fixed_point_iterate(block_apply_factory(p, x), np.zeros_like(x), 200)[0]
     gap = implicit_gap(p, x, SolverConfig(max_iters=30, rel_tol=1e-14), unrolled)
     assert gap < 1e-12
 
@@ -125,7 +152,8 @@ def test_implicit_gap_needs_an_endpoint_of_the_input_shape(unrolled):
 
 def test_implicit_gap_shrinks_with_budget(corpus_block):
     x = rand(2, (8, 6, 6))
-    unrolled = unrolled_shared_forward(corpus_block, x, 2000)[0]
+    unrolled = fixed_point_iterate(
+        block_apply_factory(corpus_block, x), np.zeros_like(x), 2000)[0]
     gaps = [
         implicit_gap(corpus_block, x, SolverConfig(max_iters=b, rel_tol=1e-13), unrolled)
         for b in (3, 5, 10, 15, 20)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ifr import gradcheck, implicit
-from ifr.blocks import unrolled_shared_forward, unrolled_shared_vjp
+from ifr.blocks import block_apply_factory, unrolled_shared_vjp
 from ifr.gradcheck import (
     check_block_gradients,
     contractive_block,
@@ -18,7 +18,7 @@ from ifr.gradcheck import (
 from ifr.implicit import ifr_backward, ifr_forward, stack_records
 from ifr.ops import NonFiniteError
 from ifr.rng import CounterRng
-from ifr.solver import SolverConfig, broyden_solve
+from ifr.solver import SolverConfig, broyden_solve, fixed_point_iterate
 
 from conftest import rand
 from test_blocks import linear_proxy_block, zero_block
@@ -99,7 +99,8 @@ def test_fixed_point_certificate_on_convergence(corpus_block):
 def test_equilibrium_matches_long_unroll(corpus_block):
     x = rand(6, (8, 6, 6))
     rec = ifr_forward(corpus_block, x, SolverConfig(max_iters=15, rel_tol=1e-12))
-    unrolled, _ = unrolled_shared_forward(corpus_block, x, 1000)
+    unrolled, _ = fixed_point_iterate(
+        block_apply_factory(corpus_block, x), np.zeros_like(x), 1000)
     assert np.abs(rec.equilibrium - unrolled).max() < 1e-6
 
 

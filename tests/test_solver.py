@@ -94,9 +94,7 @@ def test_divergence_returns_best_iterate_with_note():
     def residual(v):
         return v**3
 
-    res = broyden_solve(
-        residual, np.full(3, 10.0), SolverConfig(max_iters=10, divergence_factor=10.0)
-    )
+    res = broyden_solve(residual, np.full(3, 10.0), SolverConfig(max_iters=10))
     assert not res.converged
     assert "diverged" in res.note
     assert res.residual_trace[res.best_iteration] == min(res.residual_trace)

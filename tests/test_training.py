@@ -270,10 +270,11 @@ def test_train_metrics_schema(grid_dataset):
         assert set(m) == {"iter", "lr", "loss", "held_out_iou", "solver_converged_frac"}
 
 
-def test_train_aborts_on_persistent_divergence(grid_dataset):
+def test_train_aborts_on_persistent_divergence(grid_dataset, monkeypatch):
     # a divergence factor below any achievable residual ratio flags every
     # solve as diverged, which must trip the training abort
-    bad_solver = solver.SolverConfig(max_iters=5, rel_tol=1e-6, divergence_factor=1e-12)
+    monkeypatch.setattr(solver, "DIVERGENCE_FACTOR", 1e-12)
+    bad_solver = solver.SolverConfig(max_iters=5, rel_tol=1e-6)
     cfg = grid_train_cfg(total_iters=10, decay_points=(), warmup_iters=2)
     with pytest.raises(TrainingAbortedError):
         train(grid_head(IMPLICIT, 5), cfg, grid_dataset[:40], solver_cfg=bad_solver, log_every=5)
