@@ -35,5 +35,6 @@ def run(tag, gn2i, gn2c, sci, scc, iters, decays):
     print(f'[{tag}] conv_frac traj {[round(v,2) for v in convs]}', flush=True)
     print(f'[{tag}] rho {rho:.3f} gap {gap:.2e} iters-to-1e-6 {it2t}', flush=True)
 
-run('cap tight 0.10/0.25', 0.10, 0.10, 0.20, 0.25, 600, (400, 520))
-run('cap mid   0.15/0.30', 0.10, 0.15, 0.20, 0.30, 600, (400, 520))
+if __name__ == "__main__":
+    run('cap tight 0.10/0.25', 0.10, 0.10, 0.20, 0.25, 600, (400, 520))
+    run('cap mid   0.15/0.30', 0.10, 0.15, 0.20, 0.30, 600, (400, 520))

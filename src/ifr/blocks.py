@@ -269,49 +269,69 @@ def init_head(rng: CounterRng, cfg: HeadConfig) -> HeadParams:
 # block forward/backward
 
 
+def _copy(record):
+    """A copy of a parameter record and its arrays, made without re-running its checks."""
+    copied = object.__new__(type(record))
+    copied.__dict__ = {k: v.copy() if isinstance(v, np.ndarray) else v
+                       for k, v in vars(record).items()}
+    return copied
+
+
+class _PreparedBlock(DoubleResidualParams):
+    """A copy of a block's parameters that nothing updates, and F(h; x) for maps of
+    one shape on operands prepared once from it: the GEMMs of the effective kernels,
+    the biases, the group-norm affine columns and the transposed GEMMs, which every
+    tape of the block shares: a stack prepares each distinct block once."""
+
+    def __init__(self, p: DoubleResidualParams, shape: tuple):
+        parts = (p.w1, p.gn1, p.w2, p.gn2, p.shortcut)
+        super().__init__(*(None if part is None else _copy(part) for part in parts),
+                         p.residual_enabled)
+        mid_shape = shape[:-3] + (self.w1.out_channels,) + shape[-2:]
+        # conv1, conv2 and the shortcut conv, and their transposes for their outputs' shapes
+        params = (self.w1, self.w2, self.shortcut if self.residual_enabled else None)
+        self.convs = [None if c is None else ops.ConvGemm(ops.effective_kernel(c), c.bias, s)
+                      for c, s in zip(params, (shape, mid_shape, shape))]
+        self.shape, self.transposed = shape, [
+            None if c is None else ops.transposed_conv(c.kernel, out)
+            for c, out in zip(self.convs, (mid_shape, shape, shape))]
+        self.affine = [(gn.scale[:, None, None], gn.shift[:, None, None])
+                       for gn in (self.gn1, self.gn2)]
+
+    def __call__(self, h: np.ndarray, x: np.ndarray, keep_tape: bool = False):
+        """F(h; x), unchecked; (F, tape) if keep_tape."""
+        conv1, conv2, shortcut = self.convs
+        (scale1, shift1), (scale2, shift2) = self.affine
+        r = h + x
+        c1 = conv1(r)
+        xhat1, inv_std1 = ops._group_stats(c1, self.gn1)
+        a1 = np.maximum(xhat1 * scale1 + shift1, 0.0)
+        c2 = conv2(a1)
+        xhat2, inv_std2 = ops._group_stats(c2, self.gn2)
+        out = xhat2 * scale2 + shift2
+        if self.residual_enabled:
+            out = out + (r if shortcut is None else shortcut(r))
+        if not keep_tape:
+            return out
+        return out, BlockTape(self, r, xhat1, inv_std1, a1, a1 > 0.0, xhat2, inv_std2)
+
+
 @dataclass
 class BlockTape:
-    """Forward intermediates plus cached GN statistics and effective kernels.
+    """Forward intermediates of F at one point, and the prepared block they came from.
 
-    The implicit backward pass applies the transposed block Jacobian at one
-    fixed linearization point many times, so everything reusable is saved.
-    """
+    The implicit backward applies the transposed block Jacobian at one point many
+    times, so everything reusable is saved: the group-norm statistics and the ReLU
+    mask here; the parameters and the transposed GEMMs with their buffers on the block."""
 
+    block: _PreparedBlock
     r: np.ndarray
     xhat1: np.ndarray
     inv_std1: np.ndarray
     a1: np.ndarray
+    mask1: np.ndarray
     xhat2: np.ndarray
     inv_std2: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    k_shortcut: Optional[np.ndarray]
-
-
-def _effective_kernels(p: DoubleResidualParams):
-    """(w1, w2, shortcut) kernels as the convs apply them; shortcut None if absent."""
-    ks = None if p.shortcut is None else ops.effective_kernel(p.shortcut)
-    return ops.effective_kernel(p.w1), ops.effective_kernel(p.w2), ks
-
-
-def _block_forward(
-    p: DoubleResidualParams, kernels, h: np.ndarray, x: np.ndarray, keep_tape: bool = False
-):
-    """F(h; x) on precomputed effective kernels, unchecked; (F, tape) if keep_tape."""
-    k1, k2, ks = kernels
-    r = h + x
-    c1 = ops._conv2d_core(r, k1, p.w1.bias)
-    xhat1, inv_std1 = ops._group_stats(c1, p.gn1)
-    g1 = xhat1 * p.gn1.scale[:, None, None] + p.gn1.shift[:, None, None]
-    a1 = np.maximum(g1, 0.0)
-    c2 = ops._conv2d_core(a1, k2, p.w2.bias)
-    xhat2, inv_std2 = ops._group_stats(c2, p.gn2)
-    out = xhat2 * p.gn2.scale[:, None, None] + p.gn2.shift[:, None, None]
-    if p.residual_enabled:
-        out = out + (r if ks is None else ops._conv2d_core(r, ks, p.shortcut.bias))
-    if not keep_tape:
-        return out
-    return out, BlockTape(r, xhat1, inv_std1, a1, xhat2, inv_std2, k1, k2, ks)
 
 
 def _check_operands(p: DoubleResidualParams, h: np.ndarray, x: np.ndarray) -> None:
@@ -326,9 +346,12 @@ def _check_operands(p: DoubleResidualParams, h: np.ndarray, x: np.ndarray) -> No
 def block_forward_tape(
     p: DoubleResidualParams, h: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, BlockTape]:
-    """F(h; x) and the tape its VJP reads."""
+    """F(h; x) and the tape its VJP reads, prepared from a copy of p taken now
+    (p itself if it is a _PreparedBlock for maps of x's shape)."""
     _check_operands(p, h, x)
-    return _block_forward(p, _effective_kernels(p), h, x, keep_tape=True)
+    if not (isinstance(p, _PreparedBlock) and p.shape == x.shape):
+        p = _PreparedBlock(p, x.shape)
+    return p(h, x, keep_tape=True)
 
 
 def block_vjp_from_tape(
@@ -337,30 +360,31 @@ def block_vjp_from_tape(
     cotangent: np.ndarray,
     want_params: bool = True,
 ) -> tuple[np.ndarray, Optional[Grads]]:
-    """Adjoint of the block given saved intermediates.
+    """Adjoint of the block: GEMMs on the tape's operands and group-norm adjoints.
 
+    Every value is read from the tape, parameters from its copy of p.
     Returns (dR, grads); the adjoints w.r.t. h and x both equal dR because
     R = h + x. want_params=False skips every parameter-gradient contraction
     (the adjoint fixed-point loop only needs dR).
     """
-    d_c2 = ops.group_norm_input_vjp(tape.xhat2, tape.inv_std2, p.gn2, cotangent)
-    # a1 = relu(g1) > 0 exactly where g1 > 0
-    d_g1 = np.where(tape.a1 > 0.0, ops.conv2d_input_vjp(tape.k2, d_c2), 0.0)
-    d_c1 = ops.group_norm_input_vjp(tape.xhat1, tape.inv_std1, p.gn1, d_g1)
-    d_r = ops.conv2d_input_vjp(tape.k1, d_c1)
-    if p.residual_enabled:
-        ks = tape.k_shortcut
-        d_r = d_r + (cotangent if ks is None else ops.conv2d_input_vjp(ks, cotangent))
+    block = tape.block
+    conv1_t, conv2_t, shortcut_t = block.transposed
+    d_c2 = ops.group_norm_input_vjp(tape.xhat2, tape.inv_std2, block.gn2, cotangent)
+    d_g1 = np.where(tape.mask1, conv2_t(d_c2), 0.0)
+    d_c1 = ops.group_norm_input_vjp(tape.xhat1, tape.inv_std1, block.gn1, d_g1)
+    d_r = conv1_t(d_c1)
+    if block.residual_enabled:
+        d_r = d_r + (cotangent if shortcut_t is None else shortcut_t(cotangent))
     if not want_params:
         return d_r, None
     shortcut_g = None
-    if p.shortcut is not None:
-        if p.residual_enabled:
-            shortcut_g = ops.conv2d_param_grads(tape.r, p.shortcut, cotangent)
+    if block.shortcut is not None:
+        if block.residual_enabled:
+            shortcut_g = ops.conv2d_param_grads(tape.r, block.shortcut, cotangent)
         else:
-            shortcut_g = Grads.zeros_like(p.shortcut)
-    w1_g = ops.conv2d_param_grads(tape.r, p.w1, d_c1)
-    w2_g = ops.conv2d_param_grads(tape.a1, p.w2, d_c2)
+            shortcut_g = Grads.zeros_like(block.shortcut)
+    w1_g = ops.conv2d_param_grads(tape.r, block.w1, d_c1)
+    w2_g = ops.conv2d_param_grads(tape.a1, block.w2, d_c2)
     gn1_g = ops.group_norm_param_grads(tape.xhat1, d_g1)
     gn2_g = ops.group_norm_param_grads(tape.xhat2, cotangent)
     parts = _block_parts(w1_g, gn1_g, w2_g, gn2_g, shortcut_g)
@@ -372,16 +396,14 @@ def double_residual_forward(
 ) -> np.ndarray:
     """One application of the transformation F(h; x)."""
     _check_operands(p, h, x)
-    return _block_forward(p, _effective_kernels(p), h, x)
+    return _PreparedBlock(p, x.shape)(h, x)
 
 
 def block_apply_factory(p: DoubleResidualParams, x: np.ndarray):
-    """h -> F(h; x) with effective kernels computed once and no operand checks.
-
-    Used inside solver and long-unroll loops where the parameters are frozen.
-    """
-    kernels = _effective_kernels(p)
-    return lambda h: _block_forward(p, kernels, h, x)
+    """h -> F(h; x) on operands prepared once from a copy of p taken now, with no
+    operand checks: the map of solver and long-unroll loops."""
+    prepared = _PreparedBlock(p, x.shape)
+    return lambda h: prepared(h, x)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +426,11 @@ def stacked_head_tapes(params: Sequence[DoubleResidualParams], x: np.ndarray):
     if not params:
         return x.copy(), []
     h = np.zeros_like(x)
-    tapes = []
+    tapes, prepared = [], {}
     for i, p in enumerate(params):
-        h, tape = block_forward_tape(p, h, x)
+        if id(p) not in prepared:
+            prepared[id(p)] = _PreparedBlock(p, x.shape)
+        h, tape = block_forward_tape(prepared[id(p)], h, x)
         if not np.all(np.isfinite(h)):
             raise DivergenceError(f"block {i} produced a non-finite iterate", step=i)
         tapes.append(tape)

@@ -12,11 +12,13 @@ exact hand-derived adjoint so that block- and head-level backward passes
 can be composed without an autodiff tape. A VJP returns the adjoint of its
 input and, for an op with parameters, a `Grads`: the ordered leaf-name ->
 array mapping that the parameter record's `leaf_items()` yields, summed
-over the batch.
+over the batch. The exception is `ConvGemm`, the prepared convolution they
+run on: it checks nothing and may keep a padding buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -239,27 +241,6 @@ def _kernel_size(kernel: np.ndarray) -> int:
     return kh
 
 
-def _pad(x: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the spatial axes of an (N, C, H, W) batch; the result is C-contiguous."""
-    if not padding:
-        return np.ascontiguousarray(x)
-    n, c, h, w = x.shape
-    x_pad = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    x_pad[:, :, padding : padding + h, padding : padding + w] = x
-    return x_pad
-
-
-def _patches(batch: np.ndarray, k: int):
-    """im2col columns (C*k*k, N*H*W) of an (N, C, H, W) batch zero-padded by k // 2."""
-    n, c, h, w = batch.shape
-    x_pad = _pad(batch, k // 2)
-    sn, sc, sh, sw = x_pad.strides
-    # a strided window view straight on the buffer (as_strided costs more
-    # than the GEMM of a small map)
-    windows = np.ndarray((c, k, k, n, h, w), np.float64, x_pad, 0, (sc, sh, sw, sn, sh, sw))
-    return windows.reshape(c * k * k, n * h * w)
-
-
 def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndarray:
     """Inverse of _channel_rows: (C, N*h*w) GEMM output to a (..., C, h, w) map."""
     c = rows.shape[0]
@@ -267,13 +248,53 @@ def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndar
     return np.ascontiguousarray(out).reshape(lead + (c, h, w))
 
 
-def _conv2d_core(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """Cross-correlation on a raw kernel (hot path): one GEMM per batch, and
-    no operand check but the kernel's shape."""
-    out = kernel.reshape(kernel.shape[0], -1) @ _patches(as_batch(x), _kernel_size(kernel))
-    if bias is not None:
-        out += bias[:, None]
-    return _from_channel_rows(out, x.shape[:-3], *x.shape[-2:])
+class ConvGemm:
+    """Cross-correlation of maps of one shape with a raw kernel (out, in, k, k) and
+    bias (out,) or None, both kept, not copied; no operand is checked but the kernel's
+    shape. Each call is one GEMM over the batch's N*H*W columns and returns a new array.
+
+    A k x k kernel pads into a zero-bordered buffer, and from its second call on
+    keeps one whose interior each call overwrites: a conv used once holds none.
+    A 1x1 kernel's GEMM runs on the channel rows, with no pad and no window.
+    """
+
+    def __init__(self, kernel: np.ndarray, bias: np.ndarray | None, shape: tuple):
+        self.kernel, self.matrix = kernel, kernel.reshape(kernel.shape[0], -1)
+        self.bias = None if bias is None else bias[:, None]
+        self.lead, self.h, self.w = shape[:-3], shape[-2], shape[-1]
+        self.k, self.padded, self.called = _kernel_size(kernel), None, False
+
+    def _pad(self):
+        """A zeroed buffer's interior, and its (in, k, k, N, H, W) im2col window view."""
+        n, c, k, p = math.prod(self.lead), self.kernel.shape[1], self.k, self.k // 2
+        buffer = np.zeros((n, c, self.h + 2 * p, self.w + 2 * p))
+        sn, sc, sh, sw = buffer.strides
+        # a window view straight on the buffer: as_strided costs more than a small GEMM
+        windows = np.ndarray((c, k, k, n, self.h, self.w), np.float64, buffer, 0,
+                             (sc, sh, sw, sn, sh, sw))
+        return buffer[:, :, p : p + self.h, p : p + self.w], windows
+
+    def columns(self, x: np.ndarray) -> np.ndarray:
+        """(in*k*k, N*H*W) im2col GEMM operand of x; for a 1x1 kernel, x's channel rows."""
+        if self.k == 1:
+            return _channel_rows(x)
+        interior, windows = self.padded or self._pad()
+        self.padded, self.called = (interior, windows) if self.called else None, True
+        interior[...] = as_batch(x)
+        return windows.reshape(self.matrix.shape[1], -1)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = self.matrix @ self.columns(x)
+        if self.bias is not None:
+            out += self.bias
+        return _from_channel_rows(out, self.lead, self.h, self.w)
+
+
+def transposed_conv(kernel: np.ndarray, shape: tuple) -> ConvGemm:
+    """Input adjoint of a conv, for cotangents of `shape`: itself a correlation,
+    with (a copy of) the spatially flipped, channel-transposed kernel."""
+    flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return ConvGemm(flipped, None, shape)
 
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -281,7 +302,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     x = check_maps(x, "conv2d input")
     if x.shape[-3] != p.in_channels:
         raise ShapeError(f"input has {x.shape[-3]} channels, kernel expects {p.in_channels}")
-    return _conv2d_core(x, effective_kernel(p), p.bias)
+    return ConvGemm(effective_kernel(p), p.bias, x.shape)(x)
 
 
 def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.ndarray, Grads]:
@@ -303,19 +324,14 @@ def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.
 
 def conv2d_param_grads(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> Grads:
     """Parameter-leaf gradients of conv2d (summed over a batch), unchecked."""
-    cols = _patches(as_batch(x), _kernel_size(p.direction))
+    cols = ConvGemm(p.direction, None, x.shape).columns(x)
     d_kernel = (_channel_rows(cotangent) @ cols.T).reshape(p.direction.shape)
     return _kernel_vjp(p, d_kernel, _channel_sum(cotangent))
 
 
 def conv2d_input_vjp(kernel: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-    """Adjoint of conv2d w.r.t. the input only (no parameter gradients).
-
-    It is itself a correlation, with the spatially flipped, channel-transposed
-    kernel.
-    """
-    flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _conv2d_core(cotangent, flipped, None)
+    """Adjoint of conv2d w.r.t. the input only (no parameter gradients)."""
+    return transposed_conv(kernel, cotangent.shape)(cotangent)
 
 
 def _deconv_taps(kernel: np.ndarray) -> np.ndarray:

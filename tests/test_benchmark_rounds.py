@@ -29,6 +29,14 @@ WORKLOADS = [w["name"] for w in json.loads(
 
 SMALL = dict(TRAIN_ITERS=6, LOG_EVERY=3, TRAIN_COUNT=40, EVAL_COUNT=24, DIAGNOSE_STEPS=60)
 
+# F-evaluations the tracer counts in one traced reduced-size analyze round: a
+# rewrite of the block's forward or VJP must keep them visible to its spans
+ANALYZE_SPAN_COUNTS = {
+    "blocks.block_apply": 1762,
+    "blocks.block_vjp.input_only": 16,
+    "diagnostics.jacobian_apply": 960,
+}
+
 
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_rounds_run_untraced_and_traced(monkeypatch, tmp_path, name):
@@ -55,3 +63,5 @@ def test_workload_rounds_run_untraced_and_traced(monkeypatch, tmp_path, name):
     assert tracer.spans
     if name == "analyze":
         assert failures == []
+        names = [span[0] for span in tracer.spans]
+        assert {span: names.count(span) for span in ANALYZE_SPAN_COUNTS} == ANALYZE_SPAN_COUNTS

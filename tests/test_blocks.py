@@ -437,3 +437,212 @@ def test_batched_stack_rejects_a_non_finite_sample():
     x[2, 1, 0, 0] = np.nan
     with pytest.raises(ops.NonFiniteError):
         stacked_head_forward([p, p], x)
+
+
+# ---------------------------------------------------------------------------
+# prepared operands against the unprepared block
+#
+# The reference below is the unprepared block: every convolution zero-pads a
+# fresh copy of its input and windows it, every input VJP flips its kernel
+# again, and the ReLU mask is recomputed on each call. The prepared block runs
+# the same GEMMs on the same operands, so its outputs must be the same bytes.
+
+
+def _ref_patches(batch, k):
+    n, c, h, w = batch.shape
+    pad = k // 2
+    x_pad = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
+    x_pad[:, :, pad : pad + h, pad : pad + w] = batch
+    sn, sc, sh, sw = x_pad.strides
+    windows = np.ndarray((c, k, k, n, h, w), np.float64, x_pad, 0, (sc, sh, sw, sn, sh, sw))
+    return windows.reshape(c * k * k, n * h * w)
+
+
+def _ref_conv(x, kernel, bias):
+    out = kernel.reshape(kernel.shape[0], -1) @ _ref_patches(ops.as_batch(x), kernel.shape[-1])
+    if bias is not None:
+        out += bias[:, None]
+    c, (h, w) = out.shape[0], x.shape[-2:]
+    rows = out.reshape(c, -1, h, w).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(rows).reshape(x.shape[:-3] + (c, h, w))
+
+
+def _ref_input_vjp(kernel, cot):
+    return _ref_conv(cot, np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), None)
+
+
+def _ref_param_grads(x, p, cot):
+    cols = _ref_patches(ops.as_batch(x), p.direction.shape[-1])
+    rows = ops.as_batch(cot).transpose(1, 0, 2, 3).reshape(cot.shape[-3], -1)
+    d_kernel = (rows @ cols.T).reshape(p.direction.shape)
+    return ops._kernel_vjp(p, d_kernel, ops.as_batch(cot).sum(axis=(0, 2, 3)))
+
+
+def _ref_block_forward(p, h, x):
+    """(F(h; x), saved intermediates), reading p when called."""
+    k1, k2 = ops.effective_kernel(p.w1), ops.effective_kernel(p.w2)
+    ks = None if p.shortcut is None else ops.effective_kernel(p.shortcut)
+    r = h + x
+    c1 = _ref_conv(r, k1, p.w1.bias)
+    xhat1, inv_std1 = ops._group_stats(c1, p.gn1)
+    a1 = np.maximum(xhat1 * p.gn1.scale[:, None, None] + p.gn1.shift[:, None, None], 0.0)
+    c2 = _ref_conv(a1, k2, p.w2.bias)
+    xhat2, inv_std2 = ops._group_stats(c2, p.gn2)
+    out = xhat2 * p.gn2.scale[:, None, None] + p.gn2.shift[:, None, None]
+    if p.residual_enabled:
+        out = out + (r if ks is None else _ref_conv(r, ks, p.shortcut.bias))
+    return out, (r, xhat1, inv_std1, a1, xhat2, inv_std2, k1, k2, ks)
+
+
+def _ref_block_vjp(p, saved, cot, want_params=True):
+    r, xhat1, inv_std1, a1, xhat2, inv_std2, k1, k2, ks = saved
+    d_c2 = ops.group_norm_input_vjp(xhat2, inv_std2, p.gn2, cot)
+    d_g1 = np.where(a1 > 0.0, _ref_input_vjp(k2, d_c2), 0.0)
+    d_c1 = ops.group_norm_input_vjp(xhat1, inv_std1, p.gn1, d_g1)
+    d_r = _ref_input_vjp(k1, d_c1)
+    if p.residual_enabled:
+        d_r = d_r + (cot if ks is None else _ref_input_vjp(ks, cot))
+    if not want_params:
+        return d_r, None
+    shortcut_g = None
+    if p.shortcut is not None:
+        shortcut_g = (_ref_param_grads(r, p.shortcut, cot) if p.residual_enabled
+                      else ops.Grads.zeros_like(p.shortcut))
+    parts = blocks._block_parts(
+        _ref_param_grads(r, p.w1, d_c1), ops.group_norm_param_grads(xhat1, d_g1),
+        _ref_param_grads(a1, p.w2, d_c2), ops.group_norm_param_grads(xhat2, cot), shortcut_g)
+    return d_r, ops.Grads(ops.nested_leaf_items("", parts))
+
+
+# kind -> (shortcut mode, residual_enabled); "unused-conv1x1" keeps a shortcut
+# conv that the block does not add
+BLOCK_KINDS = {
+    "conv1x1": ("conv1x1", True),
+    "identity": ("identity", True),
+    "no-residual": ("identity", False),
+    "unused-conv1x1": ("conv1x1", False),
+}
+
+
+def random_block(seed, kind, weight_norm):
+    """A 4-channel block with 6 intermediate channels and every leaf drawn at random."""
+    mode, residual = BLOCK_KINDS[kind]
+    p = init_double_residual(CounterRng(seed), 4, 6, mode, weight_norm)
+    p = dataclasses.replace(p, residual_enabled=residual)
+    for i, (_, arr) in enumerate(p.leaf_items()):
+        arr[...] = 0.5 * rand(seed + 100 + i, arr.shape)
+    return p
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_grads(a, b) -> bool:
+    return list(a) == list(b) and all(same_bytes(a[name], b[name]) for name in a)
+
+
+@pytest.mark.parametrize("shape", [(4, 14, 14), (1, 4, 14, 14), (8, 4, 6, 6), (4, 6, 6)])
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+@pytest.mark.parametrize("weight_norm", [True, False])
+def test_prepared_block_is_bit_identical_to_the_reference(shape, kind, weight_norm):
+    p = random_block(60, kind, weight_norm)
+    h, x = rand(61, shape), rand(62, shape)
+    ref_out, saved = _ref_block_forward(p, h, x)
+    out, tape = blocks.block_forward_tape(p, h, x)
+    assert same_bytes(out, ref_out)
+    assert same_bytes(double_residual_forward(p, h, x), ref_out)
+    apply = blocks.block_apply_factory(p, x)
+    for seed in (63, 64):
+        h_i = rand(seed, shape)
+        assert same_bytes(apply(h_i), _ref_block_forward(p, h_i, x)[0])
+        cot = rand(seed + 10, shape)
+        d_r, none = blocks.block_vjp_from_tape(p, tape, cot, want_params=False)
+        assert none is None and same_bytes(d_r, _ref_block_vjp(p, saved, cot, False)[0])
+        d_r, grads = blocks.block_vjp_from_tape(p, tape, cot)
+        ref_d_r, ref_grads = _ref_block_vjp(p, saved, cot)
+        assert same_bytes(d_r, ref_d_r) and same_grads(grads, ref_grads)
+
+
+def _kept_arrays(obj, seen=None):
+    """Every array reachable from obj through attributes, closure cells and sequences."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        children = list(obj)
+    elif getattr(obj, "__closure__", None):
+        children = [cell.cell_contents for cell in obj.__closure__]
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return []
+    return [arr for child in children for arr in _kept_arrays(child, seen)]
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+@pytest.mark.parametrize("shape", [(4, 6, 6), (3, 4, 6, 6)])
+def test_outputs_share_no_memory_with_what_a_map_or_tape_keeps(kind, shape):
+    """Three calls of each: a conv keeps its padding buffer from its second call on."""
+    p = random_block(70, kind, weight_norm=True)
+    x = rand(71, shape)
+    apply = blocks.block_apply_factory(p, x)
+    _, tape = blocks.block_forward_tape(p, rand(72, shape), x)
+    outputs = []
+    for seed in (73, 74, 75):
+        outputs.append(apply(rand(seed, shape)))
+        outputs.append(blocks.block_vjp_from_tape(p, tape, rand(seed + 10, shape), False)[0])
+        d_r, grads = blocks.block_vjp_from_tape(p, tape, rand(seed + 20, shape))
+        outputs += [d_r, *grads.values()]
+        if seed == 73:
+            first = [arr.copy() for arr in outputs]
+    assert all(same_bytes(arr, copy) for arr, copy in zip(outputs, first))
+    kept = _kept_arrays(apply) + _kept_arrays(tape)
+    assert len(kept) > 10
+    for out in outputs:
+        assert not any(np.shares_memory(out, arr) for arr in kept)
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+@pytest.mark.parametrize("shape", [(4, 6, 6), (8, 4, 6, 6)])
+def test_a_weight_shared_stack_is_bit_identical_to_the_reference(kind, shape):
+    """The steps of a weight-shared stack share one prepared block and its buffers."""
+    p = random_block(90, kind, weight_norm=True)
+    x, cot = rand(91, shape), rand(92, shape)
+    h, tapes = stacked_head_tapes([p] * 3, x)
+    ref_h, saved = np.zeros_like(x), []
+    for _ in range(3):
+        ref_h, step = _ref_block_forward(p, ref_h, x)
+        saved.append(step)
+    assert same_bytes(h, ref_h)
+    assert len({id(tape.block) for tape in tapes}) == 1
+    d_x, grads = unrolled_shared_vjp(p, x, 3, cot, tapes)
+    ref_d_x, ref_grads, d_h = np.zeros_like(x), ops.Grads.zeros_like(p), cot
+    for step in reversed(saved):
+        d_h, step_grads = _ref_block_vjp(p, step, d_h)
+        ref_d_x += d_h
+        ref_grads.iadd(step_grads)
+    assert same_bytes(d_x, ref_d_x) and same_grads(grads, ref_grads)
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+@pytest.mark.parametrize("weight_norm", [True, False])
+def test_an_update_after_building_reaches_no_map_or_tape(kind, weight_norm):
+    """A map and a tape read every parameter when they are built."""
+    p = random_block(80, kind, weight_norm)
+    h, x, cot = rand(81, (2, 4, 6, 6)), rand(82, (2, 4, 6, 6)), rand(83, (2, 4, 6, 6))
+    apply = blocks.block_apply_factory(p, x)
+    _, tape = blocks.block_forward_tape(p, h, x)
+    before = apply(h), blocks.block_vjp_from_tape(p, tape, cot)
+    for part in (p.w1, p.gn1, p.w2, p.gn2, p.shortcut):
+        for arr in () if part is None else vars(part).values():
+            if isinstance(arr, np.ndarray):
+                arr *= 1.5
+                arr += 0.25
+    after = apply(h), blocks.block_vjp_from_tape(p, tape, cot)
+    assert same_bytes(after[0], before[0])
+    assert same_bytes(after[1][0], before[1][0]) and same_grads(after[1][1], before[1][1])
+    assert not same_bytes(blocks.block_apply_factory(p, x)(h), before[0])
