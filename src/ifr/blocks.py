@@ -161,7 +161,7 @@ class HeadConfig:
             if cap is not None and not cap > 0:
                 raise ValueError(f"a set magnitude cap must be positive, got {cap}")
         mid = self.channels * self.channel_multiplier
-        if mid < 1 or abs(mid - round(mid)) > 1e-9:
+        if not np.isfinite(mid) or mid < 1 or abs(mid - round(mid)) > 1e-9:
             raise ValueError(
                 f"channel_multiplier {self.channel_multiplier} x {self.channels} channels "
                 "must be a positive integer"

@@ -329,7 +329,7 @@ def cmd_param_count(args) -> int:
 
 
 def eval_multiplier(text: str) -> float:
-    """Accepts '1', '2', '0.5', or fraction syntax '1/8'; a finite value or ConfigError."""
+    """Accepts '1', '2', '0.5', or fraction syntax '1/8'; a float or ConfigError."""
     text = text.strip()
     try:
         if "/" in text:
@@ -339,8 +339,6 @@ def eval_multiplier(text: str) -> float:
             value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad multiplier {text!r}") from exc
-    if not np.isfinite(value):
-        raise ConfigError(f"bad multiplier {text!r}")
     return value
 
 
@@ -353,6 +351,7 @@ def _diagnose_linear(args, out_dir) -> int:
     rows.append(["linear-1d", "implicit_gap", steps, float(abs(solve.root[0] - h[0]))])
     rho = estimate_spectral_radius(lambda v: 0.5 * v, (1,))
     rows.append(["linear-1d", "spectral_radius", steps, rho])
+    rows.extend(["linear-1d", "solve_residual", k, r] for k, r in enumerate(solve.residual_trace))
     out_path = _resolve(args.out, out_dir)
     write_csv(out_path, ["input", "metric", "step", "value"], rows)
     print(f"diagnostics {out_path}")
@@ -389,8 +388,9 @@ def cmd_diagnose(args) -> int:
         final = report.norm_diff_trace[-1] if report.norm_diff_trace else float("nan")
         rho_end = spectral_radius(block, x, report.endpoint)
         rows.append([i, "spectral_radius_at_end", args.steps, rho_end])
-        gap = implicit_gap(block, x, solver_cfg, report.endpoint)
+        gap, solve = implicit_gap(block, x, solver_cfg, report.endpoint)
         rows.append([i, "implicit_gap", args.steps, gap])
+        rows.extend([i, "solve_residual", k, r] for k, r in enumerate(solve.residual_trace))
         print(f"input {i}: final norm diff {final:.3e}, end radius {rho_end:.4f}, gap {gap:.3e}")
     out_path = _resolve(args.out, out_dir)
     write_csv(out_path, ["input", "metric", "step", "value"], rows)

@@ -23,7 +23,7 @@ from .blocks import (
 )
 from .implicit import ifr_forward
 from .rng import CounterRng
-from .solver import RUNAWAY_FACTOR, DivergenceError, SolverConfig, fixed_point_steps
+from .solver import RUNAWAY_FACTOR, DivergenceError, SolverConfig, SolverResult, fixed_point_steps
 
 # the spectral-radius probes of unroll_convergence
 _PROBES = 3
@@ -158,8 +158,10 @@ def spectral_radius(
 
 def implicit_gap(
     p: DoubleResidualParams, x: np.ndarray, cfg: SolverConfig, unrolled: np.ndarray
-) -> float:
-    """Max-abs difference between the solver equilibrium and an unroll endpoint of x's shape."""
+) -> tuple[float, SolverResult]:
+    """Max-abs difference between the solver equilibrium and an unroll endpoint
+    of x's shape, and the result of the solve that found the equilibrium."""
     if np.shape(unrolled) != x.shape:
         raise ValueError(f"unrolled shape {np.shape(unrolled)} != x shape {x.shape}")
-    return float(np.max(np.abs(ifr_forward(p, x, cfg).equilibrium - unrolled)))
+    rec = ifr_forward(p, x, cfg)
+    return float(np.max(np.abs(rec.equilibrium - unrolled))), rec.forward_result

@@ -37,12 +37,16 @@ from .solver import BatchedSolverResult, SolverConfig, SolverResult, broyden_sol
 
 @dataclass
 class IfrForwardRecord:
-    """A solved equilibrium: one (C, H, W) sample, or a stack_records batch."""
+    """A solved equilibrium: one (C, H, W) sample, or a stack_records batch.
+
+    params is the caller's live record, not a copy: ifr_backward tapes it, so
+    it must not be updated between ifr_forward and ifr_backward.
+    """
 
     equilibrium: np.ndarray
     input: np.ndarray
     forward_result: SolverResult | BatchedSolverResult
-    params_snapshot: DoubleResidualParams
+    params: DoubleResidualParams
 
 
 @dataclass
@@ -65,7 +69,7 @@ def ifr_forward(
 
     result = broyden_solve(residual, np.zeros_like(x), cfg)
     return IfrForwardRecord(
-        equilibrium=result.root, input=x, forward_result=result, params_snapshot=p
+        equilibrium=result.root, input=x, forward_result=result, params=p
     )
 
 
@@ -76,7 +80,7 @@ def stack_records(recs: list[IfrForwardRecord]) -> IfrForwardRecord:
         equilibrium=root,
         input=np.stack([rec.input for rec in recs]),
         forward_result=BatchedSolverResult(root, [rec.forward_result for rec in recs]),
-        params_snapshot=recs[0].params_snapshot,
+        params=recs[0].params,
     )
 
 
@@ -93,7 +97,7 @@ def ifr_backward(
         raise ValueError(
             f"upstream shape {upstream.shape} != equilibrium shape {rec.equilibrium.shape}"
         )
-    p = rec.params_snapshot
+    p = rec.params
     _, tape = block_forward_tape(p, rec.equilibrium, rec.input)
 
     def h_vjp(a: np.ndarray) -> np.ndarray:

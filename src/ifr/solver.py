@@ -43,8 +43,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass
@@ -54,9 +54,12 @@ class SolverResult:
     root: np.ndarray
     residual_trace: list[float]
     converged: bool
-    iterations_used: int
     best_iteration: int
     note: str = ""
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.residual_trace)
 
 
 @dataclass
@@ -223,7 +226,6 @@ def broyden_solve(
             root=root[i] if batched else root,
             residual_trace=traces[i],
             converged=best_rel[i] < cfg.rel_tol,
-            iterations_used=len(traces[i]),
             best_iteration=best_iter[i],
             note=notes[i],
         )

@@ -84,7 +84,7 @@ def test_criterion_3_fixed_point_fidelity(trained_implicit, grid_dataset):
     holdout = grid_dataset[-10:]
     gaps = [
         implicit_gap(block, s.feature, cfg, fixed_point_iterate(
-            block_apply_factory(block, s.feature), np.zeros_like(s.feature), 10_000)[0])
+            block_apply_factory(block, s.feature), np.zeros_like(s.feature), 10_000)[0])[0]
         for s in holdout
     ]
     ok = max(gaps) <= 1e-6

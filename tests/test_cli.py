@@ -113,6 +113,9 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"head": {"shortcut_gain_init": float("inf")}},
         {"data": {"noise_sigma": float("nan")}},
         {"data": {"noise_sigma": float("inf")}},
+        {"head": {"channel_multiplier": float("inf")}},
+        {"head": {"channel_multiplier": float("nan")}},
+        {"solver": {"rel_tol": float("inf")}},
     ],
 )
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
@@ -311,6 +314,11 @@ def test_diagnose_linear_profile_geometric_trace(tmp_path):
     assert abs(float(gap_rows[0][3]) - 2.0**-9) < 1e-12
     radius_rows = [r for r in rows if r[1] == "spectral_radius"]
     assert [float(r[3]) for r in radius_rows] == [0.5]
+    # the Broyden solve from h = 0: iterate 1 is h = 1, the secant step lands on 2
+    solve_rows = [r for r in rows if r[1] == "solve_residual"]
+    assert [int(r[2]) for r in solve_rows] == [0, 1, 2]
+    assert [float(r[3]) for r in solve_rows] == [1 / 1e-9, 0.5 / (1 + 1e-9), 0.0]
+    assert rows[-len(solve_rows):] == solve_rows
 
 
 def test_diagnose_trained_checkpoint(tmp_path):
@@ -349,6 +357,34 @@ def test_diagnose_gap_reads_the_one_unroll_it_traces(tmp_path, monkeypatch):
         root = ifr_forward(block, x, solver_cfg).equilibrium
         expected.append(float(np.max(np.abs(root - unroll_convergence(block, x, 200).endpoint))))
     assert gaps == expected
+
+
+def test_diagnose_solve_residual_rows_are_the_gap_solve_trace(tmp_path, monkeypatch):
+    head = load_experiment_config(write_config(tmp_path / "cfg.json")).head
+    params = init_head(CounterRng(0), head)
+    save_checkpoint(tmp_path / "c.ifr", head, params)
+    solves = []
+
+    def counting_forward(p, x, cfg):
+        solves.append(1)
+        return ifr_forward(p, x, cfg)
+
+    monkeypatch.setattr(diagnostics, "ifr_forward", counting_forward)
+    assert main(["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "c.ifr",
+                 "--steps", "50", "--inputs", "2", "--seed", "5", "--out", "diag.csv"]) == 0
+    monkeypatch.undo()
+    assert len(solves) == 2
+    _, rows = read_csv(tmp_path / "diag.csv")
+    block, rng = params.stages[0], CounterRng(5)
+    solver_cfg = solver_config_for(head, SolverConfig(rel_tol=1e-10))
+    for i in range(2):
+        x = rng.split(i).normal((head.channels, 14, 14))
+        trace = ifr_forward(block, x, solver_cfg).forward_result.residual_trace
+        mine = [r for r in rows if r[0] == str(i)]
+        # an input's rows end with its solve's residual at iterates 0, 1, ...
+        tail = mine[-len(trace) - 1:]
+        assert [r[1] for r in tail] == ["implicit_gap"] + ["solve_residual"] * len(trace)
+        assert [(int(r[2]), float(r[3])) for r in tail[1:]] == list(enumerate(trace))
 
 
 @pytest.mark.parametrize("flags", [["--steps", "0"], ["--steps", "-3"], ["--inputs", "0"]])
@@ -395,6 +431,8 @@ def test_diagnose_corrupt_checkpoint_is_io_error(tmp_path):
         ("depth_or_budget", [0.0]),
         ("gn2_scale_init", [np.nan]),
         ("shortcut_gain_init", [np.inf]),
+        ("channel_multiplier", [np.inf]),
+        ("channel_multiplier", [np.nan]),
     ],
 )
 def test_diagnose_bad_checkpoint_config_entry_is_io_error(tmp_path, capsys, key, value):

@@ -139,8 +139,9 @@ def test_implicit_gap_linear_proxy_tiny():
     p = linear_proxy_block(slope=0.5, offset=0.5)
     x = np.ones((1, 1, 1))
     unrolled = fixed_point_iterate(block_apply_factory(p, x), np.zeros_like(x), 200)[0]
-    gap = implicit_gap(p, x, SolverConfig(max_iters=30, rel_tol=1e-14), unrolled)
+    gap, solve = implicit_gap(p, x, SolverConfig(max_iters=30, rel_tol=1e-14), unrolled)
     assert gap < 1e-12
+    assert solve.converged and solve.residual_trace[-1] < 1e-14
 
 
 @pytest.mark.parametrize("unrolled", [200, np.zeros((1, 2, 1)), np.zeros(1)])
@@ -155,7 +156,7 @@ def test_implicit_gap_shrinks_with_budget(corpus_block):
     unrolled = fixed_point_iterate(
         block_apply_factory(corpus_block, x), np.zeros_like(x), 2000)[0]
     gaps = [
-        implicit_gap(corpus_block, x, SolverConfig(max_iters=b, rel_tol=1e-13), unrolled)
+        implicit_gap(corpus_block, x, SolverConfig(max_iters=b, rel_tol=1e-13), unrolled)[0]
         for b in (3, 5, 10, 15, 20)
     ]
     assert all(b <= a * 1.001 + 1e-15 for a, b in zip(gaps, gaps[1:]))

@@ -16,8 +16,9 @@ from conftest import rand
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tol=0.0)
+    for rel_tol in (0.0, -1e-6, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(rel_tol=rel_tol)
 
 
 def test_negation_residual_roots_in_one_step():
