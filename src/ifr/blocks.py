@@ -411,41 +411,27 @@ def block_apply_factory(p: DoubleResidualParams, x: np.ndarray):
 
 
 def stacked_head_forward(
-    params: Sequence[DoubleResidualParams], x: np.ndarray
-) -> np.ndarray:
-    """Depth-M stack with independent per-stage parameters (see stacked_head_tapes)."""
-    return stacked_head_tapes(params, x)[0]
+    params: Sequence[DoubleResidualParams], x: np.ndarray, keep_tape: bool = False
+):
+    """The blocks in order from h0 = 0: h, or (h, per-step tapes) if keep_tape.
 
-
-def stacked_head_tapes(params: Sequence[DoubleResidualParams], x: np.ndarray):
-    """Taped pass through the blocks in order from h0 = 0: (h, per-block tapes).
-
-    The weight-shared unroll is the stack with one block repeated. An empty
-    stack is the 0-stage baseline and passes (a copy of) x through unchanged.
+    The weight-shared unroll is the stack with one block repeated; each
+    distinct block is prepared once. An empty stack is the 0-stage baseline
+    and passes (a copy of) x through unchanged.
     """
-    if not params:
-        return x.copy(), []
-    h = np.zeros_like(x)
-    tapes, prepared = [], {}
+    h, tapes, prepared = np.zeros_like(x) if params else x.copy(), [], {}
     for i, p in enumerate(params):
         if id(p) not in prepared:
+            _check_operands(p, h, x)
             prepared[id(p)] = _PreparedBlock(p, x.shape)
-        h, tape = block_forward_tape(prepared[id(p)], h, x)
+        if keep_tape:
+            h, tape = block_forward_tape(prepared[id(p)], h, x)
+            tapes.append(tape)
+        else:
+            h = prepared[id(p)](h, x)
         if not np.all(np.isfinite(h)):
             raise DivergenceError(f"block {i} produced a non-finite iterate", step=i)
-        tapes.append(tape)
-    return h, tapes
-
-
-def _stack_backward(params: Sequence[DoubleResidualParams], x: np.ndarray, cotangent, tapes):
-    """(dR, grads) of each block of stacked_head_tapes(params, x), last block first;
-    each block's dR is the cotangent of the block below and one term of dx."""
-    if tapes is None:
-        _, tapes = stacked_head_tapes(params, x)
-    d_h = cotangent
-    for p, tape in zip(reversed(params), reversed(tapes)):
-        d_h, grads = block_vjp_from_tape(p, tape, d_h)
-        yield d_h, grads
+    return (h, tapes) if keep_tape else h
 
 
 def stacked_head_vjp(
@@ -454,34 +440,32 @@ def stacked_head_vjp(
     cotangent: np.ndarray,
     tapes=None,
 ) -> tuple[np.ndarray, list[Grads]]:
-    """(dx, per-stage grads) of stacked_head_tapes(params, x); h0 = 0 takes no dx term."""
+    """(dx, grads) of stacked_head_forward(params, x), whose tapes are tapes.
+
+    grads holds one Grads per distinct block, in order of first appearance:
+    the sum over the steps that apply it, last step first, which is the
+    gradient of a record that appears more than once. Each step's dR is the
+    cotangent of the step below and one term of dx; h0 = 0 takes none.
+    """
     if not params:
         return cotangent.copy(), []
-    dx_total = np.zeros_like(x)
-    grads = []
-    for d_r, block_grads in _stack_backward(params, x, cotangent, tapes):
-        dx_total += d_r
-        grads.append(block_grads)
-    return dx_total, grads[::-1]
+    if tapes is None:
+        _, tapes = stacked_head_forward(params, x, keep_tape=True)
+    totals = dict.fromkeys(map(id, params))
+    dx_total, d_h = np.zeros_like(x), cotangent
+    for p, tape in zip(reversed(params), reversed(tapes)):
+        d_h, grads = block_vjp_from_tape(p, tape, d_h)
+        dx_total += d_h
+        if totals[id(p)] is None:
+            totals[id(p)] = Grads.zeros_like(p)
+        totals[id(p)].iadd(grads)
+    return dx_total, list(totals.values())
 
 
-def unrolled_shared_vjp(
-    p: DoubleResidualParams,
-    x: np.ndarray,
-    n: int,
-    cotangent: np.ndarray,
-    tapes=None,
-) -> tuple[np.ndarray, Grads]:
-    """Backpropagation through the n-step unroll, accumulating shared grads.
-
-    tapes are those of stacked_head_tapes([p] * n, x); the shared gradient
-    sums each step's gradient as it is produced, last step first.
-    """
-    dx_total, total = np.zeros_like(x), Grads.zeros_like(p)
-    for d_r, grads in _stack_backward([p] * n, x, cotangent, tapes):
-        dx_total += d_r
-        total.iadd(grads)
-    return dx_total, total
+def unrolled_shared_vjp(p: DoubleResidualParams, x: np.ndarray, n: int, cotangent, tapes=None):
+    """(dx, shared grads) of the n-step unroll (n >= 1): the stack of p repeated n times."""
+    dx, (grads,) = stacked_head_vjp([p] * n, x, cotangent, tapes)
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------

@@ -88,5 +88,7 @@ def load_checkpoint(path) -> tuple[HeadConfig, HeadParams]:
             raise EntryMismatchError(
                 f"checkpoint leaf {key!r} has shape {stored.shape}, expected {arr.shape}"
             )
+        if not np.all(np.isfinite(stored)):
+            raise EntryMismatchError(f"checkpoint leaf {key!r} holds a non-finite value")
         arr[...] = stored
     return cfg, params

@@ -145,15 +145,17 @@ def _resolve(path, output_dir) -> Path:
 # CSV writer
 
 
-def write_csv(path, columns: list[str], rows: list[list]) -> None:
-    def fmt(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
+def _field(v) -> str:
+    """A CSV field: a float by its repr, None as an empty field."""
+    if isinstance(v, float):
+        return repr(v)
+    return "" if v is None else str(v)
 
+
+def write_csv(path, columns: list[str], rows: list[list]) -> None:
     lines = [CSV_VERSION, ",".join(columns)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(_field(v) for v in row))
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -245,6 +247,8 @@ def parse_strategy_token(token: str, default_depth: int) -> tuple[str, Optional[
 def _expand_cells(args, cfg: ExperimentConfig) -> list[HeadConfig]:
     """The config's head with each cell's strategy, depth or budget, and residual switch."""
     budgets = [_parse_int(b, "budget") for b in args.budgets.split(",")] if args.budgets else []
+    if any(b < 1 for b in budgets):
+        raise ConfigError(f"--budgets entries must be >= 1, got {args.budgets!r}")
     cells: list[HeadConfig] = []
     for token in args.strategies.split(","):
         strategy, depth, double_res = parse_strategy_token(token, cfg.head.depth_or_budget)
@@ -294,7 +298,7 @@ def cmd_compare(args) -> int:
     out_path = _resolve(args.out, out_dir)
     write_csv(out_path, columns, rows)
     for row in rows:
-        print(",".join(str(v) for v in row))
+        print(",".join(_field(v) for v in row))
     print(f"comparison {out_path}")
     return EXIT_OK
 

@@ -82,8 +82,6 @@ class DatasetSpec:
     count: int
     channels: int = 8
     noise_sigma: float = 0.05
-    corrupt_patch: bool = True
-    identity_encoder: bool = False
     blur_passes: int = 2
 
     def __post_init__(self):
@@ -102,7 +100,7 @@ class DatasetSpec:
 #
 # Sample i draws from the stream CounterRng(seed).split(i): 10 uniforms
 # (cy, cx, ry, rx, theta of each ellipse), then C * 14 * 14 normals when
-# noise_sigma > 0, then the patch's top and left when corrupt_patch is set.
+# noise_sigma > 0, then the top and left of the patch that is zeroed.
 # `generate` draws and renders CHUNK samples at a time as arrays; each
 # sample still depends only on (seed, index). Chunks keep the temporaries
 # small: 320 + 1,536 desk-preset samples peaked at 69 MB resident in chunks
@@ -110,6 +108,7 @@ class DatasetSpec:
 
 CHUNK = 64
 _ELLIPSE_DRAWS = 10
+_PATCH_DRAWS = 2
 _PATCH_SPAN = FEATURE_SIZE - PATCH_SIZE + 1
 
 _YY, _XX = np.meshgrid(np.arange(MASK_SIZE), np.arange(MASK_SIZE), indexing="ij")
@@ -157,8 +156,6 @@ def _blur3(m: np.ndarray) -> np.ndarray:
 
 def _encoder(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel (weights, offsets) of the fixed random linear encoder."""
-    if spec.identity_encoder:
-        return np.ones(spec.channels), np.zeros(spec.channels)
     enc_rng = CounterRng(ENCODER_SEED)
     weights = 0.5 + enc_rng.uniform((spec.channels,)) * 1.5
     weights *= np.where(enc_rng.uniform((spec.channels,)) < 0.5, -1.0, 1.0)
@@ -170,10 +167,8 @@ def _chunk(spec: DatasetSpec, weights, offsets, indices: np.ndarray):
     """(features (k, C, 14, 14), masks (k, 1, 28, 28)) of the samples at `indices`."""
     n_noise = spec.channels * FEATURE_SIZE * FEATURE_SIZE if spec.noise_sigma > 0 else 0
     noise_draws = normal_raw_count(n_noise)
-    patch_draws = 2 if spec.corrupt_patch else 0
-    raw = raw_stream(
-        split_keys(spec.seed, indices), 0, _ELLIPSE_DRAWS + noise_draws + patch_draws
-    )
+    draws = _ELLIPSE_DRAWS + noise_draws + _PATCH_DRAWS
+    raw = raw_stream(split_keys(spec.seed, indices), 0, draws)
     masks = _two_blob_masks(to_uniform(raw[:, :_ELLIPSE_DRAWS]))
     pooled = _avg_pool2(masks)
     for _ in range(spec.blur_passes):
@@ -182,12 +177,11 @@ def _chunk(spec: DatasetSpec, weights, offsets, indices: np.ndarray):
     if n_noise:
         noise = to_normal(raw[:, _ELLIPSE_DRAWS : _ELLIPSE_DRAWS + noise_draws], n_noise)
         features = features + spec.noise_sigma * noise.reshape(features.shape)
-    if spec.corrupt_patch:
-        top, left = to_integers(raw[:, -2:], 0, _PATCH_SPAN).T
-        in_rows = (_COORDS >= top[:, None]) & (_COORDS < top[:, None] + PATCH_SIZE)
-        in_cols = (_COORDS >= left[:, None]) & (_COORDS < left[:, None] + PATCH_SIZE)
-        patch = in_rows[:, None, :, None] & in_cols[:, None, None, :]
-        np.copyto(features, 0.0, where=patch)
+    top, left = to_integers(raw[:, -_PATCH_DRAWS:], 0, _PATCH_SPAN).T
+    in_rows = (_COORDS >= top[:, None]) & (_COORDS < top[:, None] + PATCH_SIZE)
+    in_cols = (_COORDS >= left[:, None]) & (_COORDS < left[:, None] + PATCH_SIZE)
+    patch = in_rows[:, None, :, None] & in_cols[:, None, None, :]
+    np.copyto(features, 0.0, where=patch)
     return features, masks[:, None]
 
 

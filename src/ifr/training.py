@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import blocks
-from .blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig, HeadParams
+from .blocks import EXPLICIT, IMPLICIT, HeadConfig, HeadParams
 from .data import Sample, samples_to_tensors
 from .implicit import ifr_backward, ifr_forward, stack_records
 from .ops import Grads, ShapeError, as_batch, floor_direction_norms
@@ -251,12 +251,19 @@ def _stack(samples: list[Sample]) -> Sample:
     return Sample(tensors["features"], tensors["masks"])
 
 
-def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, x):
-    """Returns (refined, ctx, converged, diverged), the last two as sample counts."""
+def _finite_stack(params: HeadParams, cfg: HeadConfig) -> list:
+    """The blocks a finite head applies in order: its stages, or its one stage repeated."""
+    return params.stages if cfg.strategy == EXPLICIT else params.stages * cfg.depth_or_budget
+
+
+def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, x,
+                    keep_tape: bool = True):
+    """Returns (refined, ctx, converged, diverged), the last two as counts of forward
+    solves; a finite head runs none, and its ctx holds its tapes if keep_tape."""
     if cfg.strategy != IMPLICIT:
-        stack = params.stages if cfg.strategy == EXPLICIT else params.stages * cfg.depth_or_budget
-        h, tapes = blocks.stacked_head_tapes(stack, x)
-        return h, tapes, len(as_batch(x)), 0
+        out = blocks.stacked_head_forward(_finite_stack(params, cfg), x, keep_tape)
+        h, tapes = out if keep_tape else (out, None)
+        return h, tapes, 0, 0
     rec = stack_records([ifr_forward(params.stages[0], xi, solver_cfg) for xi in as_batch(x)])
     solves = rec.forward_result.problems
     converged = sum(solve.converged for solve in solves)
@@ -266,14 +273,9 @@ def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfi
 
 def _refine_vjp(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, ctx, x, d_h):
     """Returns (stage_grads, adjoint_unconverged), summed and counted over the samples."""
-    if cfg.strategy == EXPLICIT:
-        _, stage_grads = blocks.stacked_head_vjp(params.stages, x, d_h, tapes=ctx)
+    if cfg.strategy != IMPLICIT:
+        _, stage_grads = blocks.stacked_head_vjp(_finite_stack(params, cfg), x, d_h, tapes=ctx)
         return stage_grads, 0
-    if cfg.strategy == UNROLLED:
-        _, grads = blocks.unrolled_shared_vjp(
-            params.stages[0], x, cfg.depth_or_budget, d_h, tapes=ctx
-        )
-        return [grads], 0
     result = ifr_backward(ctx, as_batch(d_h), solver_cfg)
     unconverged = sum(not solve.converged for solve in result.adjoint_result.problems)
     return [result.d_params], unconverged
@@ -291,7 +293,7 @@ def sample_loss_and_grads(
     params.leaf_items(). converged and diverged count the forward solves,
     and adjoint_unconverged the adjoint solves that stopped short of their
     tolerance, whose gradient terms are not the exact implicit-function
-    gradients. A finite-depth strategy counts every sample as converged.
+    gradients. A finite-depth strategy runs no solve and counts none.
     """
     h, ctx, converged, diverged = _refine_forward(params, cfg, solver_cfg, sample.feature)
     logits, pred_tape = blocks.mask_predictor_forward(params.predictor, h, keep_tape=True)
@@ -323,13 +325,14 @@ def init_train_state(
 
 
 def evaluate(state: TrainState, dataset: list[Sample]) -> EvalMetrics:
-    """Mean mask IoU at threshold 0.5 (logits > 0) and mean loss."""
+    """Mean mask IoU at threshold 0.5 (logits > 0) and mean loss; no pass keeps a tape."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
     iou_total = loss_total = 0.0
     for start in range(0, len(dataset), EVAL_CHUNK):
         chunk = _stack(dataset[start : start + EVAL_CHUNK])
-        h, _, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg, chunk.feature)
+        h, _, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg,
+                                     chunk.feature, keep_tape=False)
         logits = blocks.mask_predictor_forward(state.params.predictor, h)
         for sample_logits, mask in zip(logits, chunk.mask):
             loss, _ = bce_mask_loss(sample_logits, mask)
@@ -357,6 +360,8 @@ def train(
     """Run the full schedule; returns final state and periodic metric rows.
 
     The dataset tail (_HOLDOUT_FRACTION of it) is held out for IoU logging.
+    A row's solver_converged_frac is None when its window ran no forward
+    solve, as for the explicit and unrolled heads.
     Aborts if more than half the forward solves in a logging window diverge.
     Issues one OffEquilibriumWarning per run if any forward or adjoint solve
     of a training sample stopped unconverged.
@@ -387,12 +392,13 @@ def train(
         loss, grads, (converged, diverged), adjoint_unconverged = sample_loss_and_grads(
             state.params, head_cfg, solver, batch
         )
-        window_solves += len(idx)
+        solves = len(idx) if head_cfg.strategy == IMPLICIT else 0
+        window_solves += solves
         window_converged += converged
         window_diverged += diverged
-        run_solves += len(idx)
+        run_solves += solves
         run_forward_converged += converged
-        run_adjoint_converged += len(idx) - adjoint_unconverged
+        run_adjoint_converged += solves - adjoint_unconverged
         batch_loss = loss / train_cfg.batch_size
         for arr in grads.values():
             arr /= train_cfg.batch_size
@@ -404,7 +410,7 @@ def train(
 
         if (it + 1) % log_every == 0 or it + 1 == train_cfg.total_iters:
             held = evaluate(state, holdout_set)
-            frac = window_converged / max(window_solves, 1)
+            frac = window_converged / window_solves if window_solves else None
             metrics.append(
                 {
                     "iter": it + 1,

@@ -22,7 +22,6 @@ from ifr.blocks import (
     mask_predictor_forward,
     mask_predictor_vjp,
     stacked_head_forward,
-    stacked_head_tapes,
     stacked_head_vjp,
     unrolled_shared_vjp,
 )
@@ -153,7 +152,7 @@ def test_stacked_zero_stage_is_identity():
     x = rand(20, (4, 6, 6))
     out = stacked_head_forward([], x)
     assert np.array_equal(out, x) and out is not x
-    h, tapes = stacked_head_tapes([], x)
+    h, tapes = stacked_head_forward([], x, keep_tape=True)
     assert np.array_equal(h, x) and h is not x and tapes == []
     dx, grads = stacked_head_vjp([], x, x.copy())
     assert np.array_equal(dx, x) and grads == []
@@ -612,7 +611,7 @@ def test_a_weight_shared_stack_is_bit_identical_to_the_reference(kind, shape):
     """The steps of a weight-shared stack share one prepared block and its buffers."""
     p = random_block(90, kind, weight_norm=True)
     x, cot = rand(91, shape), rand(92, shape)
-    h, tapes = stacked_head_tapes([p] * 3, x)
+    h, tapes = stacked_head_forward([p] * 3, x, keep_tape=True)
     ref_h, saved = np.zeros_like(x), []
     for _ in range(3):
         ref_h, step = _ref_block_forward(p, ref_h, x)
@@ -626,6 +625,26 @@ def test_a_weight_shared_stack_is_bit_identical_to_the_reference(kind, shape):
         ref_d_x += d_h
         ref_grads.iadd(step_grads)
     assert same_bytes(d_x, ref_d_x) and same_grads(grads, ref_grads)
+
+
+def test_a_repeated_block_gets_one_gradient_summed_over_its_steps():
+    """One Grads per distinct block, in order of first appearance, summed last step first."""
+    p, q = random_block(93, "conv1x1", True), random_block(94, "identity", False)
+    x, cot = rand(95, (2, 4, 6, 6)), rand(96, (2, 4, 6, 6))
+    d_x, grads = stacked_head_vjp([p, q, p], x, cot)
+    assert len(grads) == 2
+    ref_h, saved = np.zeros_like(x), []
+    for block in (p, q, p):
+        ref_h, step = _ref_block_forward(block, ref_h, x)
+        saved.append(step)
+    ref_p, ref_q = ops.Grads.zeros_like(p), ops.Grads.zeros_like(q)
+    ref_d_x, d_h = np.zeros_like(x), cot
+    for block, total, step in reversed(list(zip((p, q, p), (ref_p, ref_q, ref_p), saved))):
+        d_h, step_grads = _ref_block_vjp(block, step, d_h)
+        ref_d_x += d_h
+        total.iadd(step_grads)
+    assert same_bytes(d_x, ref_d_x)
+    assert same_grads(grads[0], ref_p) and same_grads(grads[1], ref_q)
 
 
 @pytest.mark.parametrize("kind", list(BLOCK_KINDS))

@@ -12,13 +12,13 @@ from ifr import cli, diagnostics, gradcheck
 from ifr.blocks import block_apply_factory, init_head
 from ifr.checkpoint import load_checkpoint, save_checkpoint
 from ifr.cli import load_experiment_config, main
-from ifr.data import load_container, save_container
+from ifr.data import load_container, save_container, tensors_to_samples
 from ifr.diagnostics import unroll_convergence
 from ifr.gradcheck import run_grad_check
 from ifr.implicit import ifr_forward
 from ifr.rng import CounterRng
 from ifr.solver import SolverConfig
-from ifr.training import solver_config_for
+from ifr.training import solver_config_for, train
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -116,6 +116,8 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"head": {"channel_multiplier": float("inf")}},
         {"head": {"channel_multiplier": float("nan")}},
         {"solver": {"rel_tol": float("inf")}},
+        {"data": {"corrupt_patch": False}},
+        {"data": {"identity_encoder": True}},
     ],
 )
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
@@ -266,6 +268,7 @@ def test_compare_grid_and_csv_determinism(tmp_path):
         ["--strategies", "unrolled-shared:0"],
         ["--strategies", "explicit-independent:-1"],
         ["--strategies", "implicit-broyden:x"],
+        ["--strategies", "explicit-independent:0", "--budgets", "0,-3"],
     ],
 )
 def test_compare_bad_cell_is_config_error_before_training(tmp_path, capsys, monkeypatch, flags):
@@ -292,6 +295,43 @@ def test_compare_records_a_failing_cell_as_an_error_row(tmp_path, monkeypatch):
                                          ["1", "implicit-broyden", "2", "1"],
                                          ["2", "implicit-broyden", "3", "1"]]
     assert rows[1][-1] == "error: implicit-broyden blew up"
+
+
+def test_finite_cells_report_no_solver_converged_fraction(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", dataset_path="d.ifr",
+                       head={"strategy": "unrolled-shared", "depth_or_budget": 2})
+    assert main(["gen-data", "--config", str(cfg), "--out", "d.ifr"]) == 0
+    assert main(["train", "--config", str(cfg)]) == 0
+    header, rows = read_csv(tmp_path / "metrics.csv")
+    column = header.index("solver_converged_frac")
+    assert rows and all(row[column] == "" for row in rows)
+    assert main(["compare", "--config", str(cfg), "--strategies",
+                 "explicit-independent:0,unrolled-shared:2,implicit-broyden:3",
+                 "--out", "c.csv"]) == 0
+    header, rows = read_csv(tmp_path / "c.csv")
+    column = header.index("solver_converged_frac")
+    assert [row[column] for row in rows[:2]] == ["", ""]
+    exp = load_experiment_config(cfg)
+    implicit = dataclasses.replace(exp.head, strategy="implicit-broyden", depth_or_budget=3)
+    dataset = tensors_to_samples(load_container(tmp_path / "d.ifr"))
+    _, metrics = train(implicit, exp.train, dataset, solver_cfg=exp.solver)
+    assert rows[2][column] == repr(metrics[-1]["solver_converged_frac"])
+
+
+@pytest.mark.parametrize("leaf,value", [("stage0.w1.direction", np.nan),
+                                        ("predictor.proj.bias", np.inf)])
+def test_diagnose_non_finite_checkpoint_leaf_is_io_error(tmp_path, capsys, leaf, value):
+    head = load_experiment_config(write_config(tmp_path / "cfg.json")).head
+    save_checkpoint(tmp_path / "c.ifr", head, init_head(CounterRng(0), head))
+    tensors = load_container(tmp_path / "c.ifr")
+    tensors[f"param/{leaf}"] = tensors[f"param/{leaf}"].copy()
+    tensors[f"param/{leaf}"].flat[0] = value
+    save_container(tmp_path / "bad.ifr", tensors)
+    argv = ["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "bad.ifr", "--steps", "5"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"param/{leaf}" in err
+    assert not (tmp_path / "diagnostics.csv").exists()
 
 
 def test_compare_nores_token(tmp_path):

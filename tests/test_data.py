@@ -58,14 +58,11 @@ def _ref_blur3(m):
     return 0.25 * padded[1:-1, :-2] + 0.5 * padded[1:-1, 1:-1] + 0.25 * padded[1:-1, 2:]
 
 
-def _reference_generate(spec):
+def _reference_generate(spec, corrupt_patch=True):
     enc_rng = CounterRng(ENCODER_SEED)
-    if spec.identity_encoder:
-        weights, offsets = np.ones(spec.channels), np.zeros(spec.channels)
-    else:
-        weights = 0.5 + enc_rng.uniform((spec.channels,)) * 1.5
-        weights *= np.where(enc_rng.uniform((spec.channels,)) < 0.5, -1.0, 1.0)
-        offsets = enc_rng.normal((spec.channels,)) * 0.3
+    weights = 0.5 + enc_rng.uniform((spec.channels,)) * 1.5
+    weights *= np.where(enc_rng.uniform((spec.channels,)) < 0.5, -1.0, 1.0)
+    offsets = enc_rng.normal((spec.channels,)) * 0.3
     root = CounterRng(spec.seed)
     out = []
     for i in range(spec.count):
@@ -77,7 +74,7 @@ def _reference_generate(spec):
         feature = weights[:, None, None] * pooled[None] + offsets[:, None, None]
         if spec.noise_sigma > 0:
             feature = feature + spec.noise_sigma * rng.normal(feature.shape)
-        if spec.corrupt_patch:
+        if corrupt_patch:
             top = int(rng.integers(0, FEATURE_SIZE - PATCH_SIZE + 1))
             left = int(rng.integers(0, FEATURE_SIZE - PATCH_SIZE + 1))
             feature[:, top : top + PATCH_SIZE, left : left + PATCH_SIZE] = 0.0
@@ -90,9 +87,9 @@ def _reference_generate(spec):
     [
         dict(seed=1, channels=8),  # the desk preset
         dict(seed=2, channels=8, noise_sigma=0.15, blur_passes=4),  # the README data options
-        dict(seed=3, channels=5, identity_encoder=True, corrupt_patch=False, noise_sigma=0.0),
+        dict(seed=3, channels=5, noise_sigma=0.0),
     ],
-    ids=["desk", "readme", "identity-clean"],
+    ids=["desk", "readme", "noise-free"],
 )
 @pytest.mark.parametrize("count", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 2])
 def test_chunked_generation_matches_the_per_sample_reference(options, count):
@@ -132,23 +129,11 @@ def test_sample_shapes_and_binary_masks():
         assert np.all(np.isfinite(s.feature))
 
 
-def test_identity_encoder_exposes_pooled_mask():
-    spec = DatasetSpec(
-        seed=5, count=6, channels=3, noise_sigma=0.0, corrupt_patch=False,
-        identity_encoder=True, blur_passes=0,
-    )
-    for s in generate(spec):
-        pooled = s.mask[0].reshape(14, 2, 14, 2).mean(axis=(1, 3))
-        assert np.array_equal(s.feature[0], pooled)
-        assert np.array_equal(s.feature[0] >= 0.5, pooled >= 0.5)
-
-
 def test_corruption_zeroes_one_5x5_patch():
-    spec = DatasetSpec(seed=6, count=4, channels=3, noise_sigma=0.0, identity_encoder=True)
-    clean = generate(DatasetSpec(seed=6, count=4, channels=3, noise_sigma=0.0,
-                                 identity_encoder=True, corrupt_patch=False))
+    spec = DatasetSpec(seed=6, count=4, channels=3, noise_sigma=0.0)
+    clean = [feature for feature, _ in _reference_generate(spec, corrupt_patch=False)]
     for corrupted, reference in zip(generate(spec), clean):
-        diff = np.any(corrupted.feature != reference.feature, axis=0)
+        diff = np.any(corrupted.feature != reference, axis=0)
         ys, xs = np.nonzero(np.any(corrupted.feature == 0.0, axis=0) & diff)
         assert np.all(corrupted.feature[:, diff] == 0.0)
         if ys.size:  # patch may overlap regions that were already zero

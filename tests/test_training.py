@@ -366,6 +366,28 @@ def test_evaluate_scores_each_sample_on_its_own_logits(grid_dataset, monkeypatch
         assert getattr(metrics, field) == pytest.approx(by_chunk, rel=1e-12)
 
 
+@pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 2), (UNROLLED, 3)])
+def test_evaluate_keeps_no_tapes(grid_dataset, monkeypatch, strategy, depth):
+    state = init_train_state(grid_head(strategy, depth), grid_train_cfg(), GRID_SOLVER)
+    samples = grid_dataset[: training.EVAL_CHUNK + 3]
+    original = blocks.stacked_head_forward
+
+    def taped(params, x, keep_tape=False):
+        h, tapes = original(params, x, keep_tape=True)
+        assert len(tapes) == len(params)
+        return (h, tapes) if keep_tape else h
+
+    monkeypatch.setattr(blocks, "stacked_head_forward", taped)
+    reference = evaluate(state, samples)
+    monkeypatch.undo()
+
+    def no_tape(*args, **kwargs):
+        raise AssertionError("evaluate built a block tape")
+
+    monkeypatch.setattr(blocks, "block_forward_tape", no_tape)
+    assert evaluate(state, samples) == reference
+
+
 @pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 2), (UNROLLED, 2), (IMPLICIT, 15)])
 def test_batched_train_is_bit_deterministic(grid_dataset, strategy, depth):
     cfg = grid_train_cfg(total_iters=8, decay_points=(), warmup_iters=2)
