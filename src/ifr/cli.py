@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import typing
@@ -126,13 +125,18 @@ def load_experiment_config(path) -> ExperimentConfig:
     for f in fields:
         if f.default is dataclasses.MISSING and f.name not in obj:
             raise ConfigError(f"config missing required section {f.name!r}")
+    output_dir, dataset_path = obj.get("output_dir", "."), obj.get("dataset_path")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    if not isinstance(dataset_path, (str, type(None))):
+        raise ConfigError(f"dataset_path must be a string or null, got {dataset_path!r}")
     return ExperimentConfig(
         head=_build(HeadConfig, obj["head"], "head"),
         solver=_build(SolverConfig, obj["solver"], "solver"),
         train=_build(TrainConfig, obj["train"], "train"),
         data=_build(DatasetSpec, obj["data"], "data"),
-        output_dir=str(obj.get("output_dir", ".")),
-        dataset_path=obj.get("dataset_path"),
+        output_dir=output_dir,
+        dataset_path=dataset_path,
     )
 
 
@@ -165,6 +169,8 @@ def write_csv(path, columns: list[str], rows: list[list]) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    import hashlib  # here, not at module level: it loads OpenSSL
+
     cfg = load_experiment_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
     samples = generate(cfg.data)

@@ -3,9 +3,10 @@
 Three probes: the long-unroll norm-difference trace, an Arnoldi (Krylov)
 estimate of the spectral radius of dF/dh, and the gap between the solver
 equilibrium and the endpoint of that same unroll. The Arnoldi iteration
-runs on the exact transposed Jacobian (dF/dh)^T, applied as a
-vector-Jacobian product from one forward tape; no finite differences are
-taken, and the transpose has the same spectral radius.
+runs on the exact transposed Jacobian (dF/dh)^T, applied to all its
+probe vectors at once as a batched vector-Jacobian product from one forward
+tape; no finite differences are taken, and the transpose has the same
+spectral radius.
 """
 
 from __future__ import annotations
@@ -85,6 +86,11 @@ def unroll_convergence(
     )
 
 
+def _check_krylov(probes: int, power_iters: int) -> None:
+    if probes < 1 or power_iters < 2:
+        raise ValueError("need probes >= 1 and power_iters >= 2")
+
+
 def estimate_spectral_radius(
     apply_jacobian: Callable[[np.ndarray], np.ndarray],
     shape: tuple[int, ...],
@@ -96,46 +102,63 @@ def estimate_spectral_radius(
 
     power_iters caps the Krylov dimension. From each probe vector, builds
     an orthonormal Krylov basis of m = min(power_iters, n) vectors (n the
-    operator dimension, one operator application per vector), with every
-    new vector re-orthogonalised against the basis, and returns the largest
-    |eigenvalue| of the m x m Hessenberg projection. A complex-conjugate
-    dominant pair appears as a conjugate pair of Ritz values, so its modulus
-    is recovered. On breakdown (the basis spans an invariant subspace) the
-    iteration stops early and its Ritz values are exact; for m = n they are
-    the eigenvalues. Returns the max over independent probe vectors.
+    operator dimension), with every new vector re-orthogonalised against
+    the basis, and takes the largest |eigenvalue| of the m x m Hessenberg
+    projection. A complex-conjugate dominant pair appears as a conjugate
+    pair of Ritz values, so its modulus is recovered. On breakdown (the
+    basis spans an invariant subspace) a probe stops early and its Ritz
+    values are exact; for m = n they are the eigenvalues. Returns the max
+    over independent probe vectors.
+
+    The probes advance in lockstep: apply_jacobian maps a (probes,) + shape
+    stack, one row per probe, and each Krylov step makes one call. A probe
+    that broke down is frozen: its row of the stack stays zero and its
+    Hessenberg block is final, while the others run on.
     """
-    if probes < 1 or power_iters < 2:
-        raise ValueError("need probes >= 1 and power_iters >= 2")
+    _check_krylov(probes, power_iters)
     n = int(np.prod(shape))
     m = min(power_iters, n)
     rng = CounterRng(seed)
-    best = 0.0
+    basis = np.zeros((probes, m, n))
+    hess = np.zeros((probes, m, m))
     for probe in range(probes):
-        basis = np.zeros((m, n))
-        hess = np.zeros((m, m))
         start = rng.split(probe).normal(shape).reshape(-1)
-        basis[0] = start / np.linalg.norm(start)
-        for j in range(m):
-            w = apply_jacobian(basis[j].reshape(shape)).reshape(-1)
-            w_norm = float(np.linalg.norm(w))
-            for _ in range(2):  # classical Gram-Schmidt, applied twice
-                coef = basis[: j + 1] @ w
-                w = w - basis[: j + 1].T @ coef
-                hess[: j + 1, j] += coef
-            beta = float(np.linalg.norm(w))
-            if j + 1 == m or beta <= 1e-12 * w_norm:
-                break
-            hess[j + 1, j] = beta
-            basis[j + 1] = w / beta
-        ritz = np.linalg.eigvals(hess[: j + 1, : j + 1])
-        best = max(best, float(np.max(np.abs(ritz))))
-    return best
+        basis[probe, 0] = start / np.linalg.norm(start)
+    size = np.zeros(probes, dtype=int)  # the Krylov dimension each probe reached
+    live = np.ones(probes, dtype=bool)
+    for j in range(m):
+        size += live
+        # a copy: an operator may return (a view of) its argument, a row of the basis
+        w = np.array(apply_jacobian(basis[:, j].reshape((probes, *shape)))).reshape(probes, n)
+        w_norm = np.linalg.norm(w, axis=1)
+        # classical Gram-Schmidt, applied twice, one probe at a time: its part of
+        # the basis stays in cache across the four passes, the whole basis would
+        # not. The order turns at every step, so the probe that ended a step, its
+        # part still cached, starts the next.
+        order = np.flatnonzero(live)
+        for probe in order[::-1] if j % 2 else order:
+            krylov, v = basis[probe, : j + 1], w[probe]
+            for _ in range(2):
+                coef = krylov @ v
+                v -= krylov.T @ coef
+                hess[probe, : j + 1, j] += coef
+        beta = np.linalg.norm(w, axis=1)
+        live &= ~(beta <= 1e-12 * w_norm)
+        if j + 1 == m or not live.any():
+            break
+        # a stopped probe's basis row stays zero, and this entry of its
+        # Hessenberg matrix lies outside the block its Ritz values come from
+        hess[:, j + 1, j] = beta
+        np.divide(w, beta[:, None], out=basis[:, j + 1], where=live[:, None])
+    return max(float(np.max(np.abs(np.linalg.eigvals(hess[i, :k, :k]))))
+               for i, k in enumerate(size))
 
 
 def block_jacobian_apply(
     p: DoubleResidualParams, x: np.ndarray, h: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> (dF/dh)^T v at the point (h, x), an exact VJP from one forward tape."""
+    """v -> (dF/dh)^T v at the point (h, x), an exact VJP from one forward tape;
+    a stack of points gives a map of stacks."""
     _, tape = block_forward_tape(p, h, x)
     return lambda v: block_vjp_from_tape(p, tape, v, want_params=False)[0]
 
@@ -148,11 +171,15 @@ def spectral_radius(
     power_iters: int = 60,
     seed: int = 0,
 ) -> float:
-    """Spectral radius estimate of dF/dh at (h, x)."""
+    """Spectral radius estimate of dF/dh at (h, x). The point is taped once as a
+    (probes,) + x.shape stack, so each Krylov step is one batched VJP."""
     if h.shape != x.shape:
         raise ValueError(f"h shape {h.shape} != x shape {x.shape}")
+    _check_krylov(probes, power_iters)
+    stack = (probes,) + x.shape
+    apply = block_jacobian_apply(p, np.broadcast_to(x, stack), np.broadcast_to(h, stack))
     return estimate_spectral_radius(
-        block_jacobian_apply(p, x, h), h.shape, probes=probes, power_iters=power_iters, seed=seed
+        apply, h.shape, probes=probes, power_iters=power_iters, seed=seed
     )
 
 

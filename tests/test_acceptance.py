@@ -103,7 +103,7 @@ def test_criterion_4_spectral_radius(trained_implicit):
         a = rng.split(t).normal((16, 16)) / 4.0
         oracle = float(max(np.abs(np.linalg.eigvals(a))))
         est = estimate_spectral_radius(
-            lambda v: a @ v, (16,), probes=4, power_iters=400, seed=t
+            lambda v: v @ a.T, (16,), probes=4, power_iters=400, seed=t
         )
         worst_est_err = max(worst_est_err, abs(est - oracle))
     block = trained_implicit.state.params.stages[0]

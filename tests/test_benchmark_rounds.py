@@ -30,11 +30,13 @@ WORKLOADS = [w["name"] for w in json.loads(
 SMALL = dict(TRAIN_ITERS=6, LOG_EVERY=3, TRAIN_COUNT=40, EVAL_COUNT=24, DIAGNOSE_STEPS=60)
 
 # F-evaluations the tracer counts in one traced reduced-size analyze round: a
-# rewrite of the block's forward or VJP must keep them visible to its spans
+# rewrite of the block's forward or VJP must keep them visible to its spans.
+# A Jacobian apply serves every spectral-radius probe at once, so diagnose makes
+# 60 per radius: 4 probe steps of the unroll and the end point, 300 in all.
 ANALYZE_SPAN_COUNTS = {
     "blocks.block_apply": 1762,
     "blocks.block_vjp.input_only": 16,
-    "diagnostics.jacobian_apply": 960,
+    "diagnostics.jacobian_apply": 300,
 }
 
 

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +121,8 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"solver": {"rel_tol": float("inf")}},
         {"data": {"corrupt_patch": False}},
         {"data": {"identity_encoder": True}},
+        {"output_dir": None},
+        {"output_dir": 5},
     ],
 )
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
@@ -131,6 +136,27 @@ def test_bad_config_value_is_config_error(tmp_path, capsys, overrides, command):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("dataset_path", [5, ["d.ifr"]])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_non_string_dataset_path_is_config_error(tmp_path, capsys, dataset_path, command):
+    cfg = write_config(tmp_path / "cfg.json", dataset_path=dataset_path)
+    argv = {
+        "train": ["train", "--config", str(cfg)],
+        "compare": ["compare", "--config", str(cfg), "--strategies", "implicit-broyden"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: dataset_path must be a string or null")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_importing_the_cli_leaves_hashlib_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, ifr.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"
 
 
 def test_readme_example_config_loads(tmp_path):

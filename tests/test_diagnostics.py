@@ -98,7 +98,7 @@ def test_block_jacobian_apply_is_the_transposed_jacobian(corpus_block):
 
 def test_spectral_radius_diagonal_linear_map():
     d = np.diag([0.9, 0.1, 0.05, 0.02])
-    est = estimate_spectral_radius(lambda v: d @ v, (4,), probes=3, power_iters=200, seed=1)
+    est = estimate_spectral_radius(lambda v: v @ d.T, (4,), probes=3, power_iters=200, seed=1)
     assert abs(est - 0.9) < 1e-3
 
 
@@ -109,7 +109,7 @@ def test_spectral_radius_random_matrix_vs_eigen_oracle():
     cases += [(CounterRng(4242).split(t).normal((16, 16)) / 4.0, t) for t in range(3)]
     for a, seed in cases:
         oracle = max(np.abs(np.linalg.eigvals(a)))
-        est = estimate_spectral_radius(lambda v: a @ v, (16,), probes=4, power_iters=400, seed=seed)
+        est = estimate_spectral_radius(lambda v: v @ a.T, (16,), probes=4, power_iters=400, seed=seed)
         assert abs(est - oracle) <= 1e-2
 
 
@@ -118,8 +118,82 @@ def test_spectral_radius_constructed_known_radius(rho):
     rng = CounterRng(50 + int(rho * 100))
     q, _ = np.linalg.qr(rng.normal((12, 12)))
     a = q @ np.diag(np.linspace(rho, rho * 0.1, 12)) @ q.T
-    est = estimate_spectral_radius(lambda v: a @ v, (12,), probes=3, power_iters=300, seed=3)
+    est = estimate_spectral_radius(lambda v: v @ a.T, (12,), probes=3, power_iters=300, seed=3)
     assert abs(est - rho) <= max(1e-2, 0.02 * rho)
+
+
+def reference_arnoldi(apply_row, shape, probes, power_iters, seed):
+    """The estimator one probe at a time: apply_row(probe, v) applies the
+    operator of that probe to one vector."""
+    n = int(np.prod(shape))
+    m = min(power_iters, n)
+    rng = CounterRng(seed)
+    best = 0.0
+    for probe in range(probes):
+        basis, hess = np.zeros((m, n)), np.zeros((m, m))
+        start = rng.split(probe).normal(shape).reshape(-1)
+        basis[0] = start / np.linalg.norm(start)
+        for j in range(m):
+            w = apply_row(probe, basis[j].reshape(shape)).reshape(-1)
+            w_norm = float(np.linalg.norm(w))
+            for _ in range(2):
+                coef = basis[: j + 1] @ w
+                w = w - basis[: j + 1].T @ coef
+                hess[: j + 1, j] += coef
+            beta = float(np.linalg.norm(w))
+            if j + 1 == m or beta <= 1e-12 * w_norm:
+                break
+            hess[j + 1, j] = beta
+            basis[j + 1] = w / beta
+        best = max(best, float(np.max(np.abs(np.linalg.eigvals(hess[: j + 1, : j + 1])))))
+    return best
+
+
+@pytest.mark.parametrize("probes", [1, 3, 4])
+def test_lockstep_probes_agree_with_a_per_probe_arnoldi_loop(probes, corpus_block):
+    a = CounterRng(60).normal((30, 30)) / 5.0
+    est = estimate_spectral_radius(lambda v: v @ a.T, (30,), probes=probes, power_iters=12, seed=7)
+    ref = reference_arnoldi(lambda _, v: a @ v, (30,), probes, 12, 7)
+    assert abs(est - ref) <= 1e-12 * ref
+    # the block's radius from one taped stack against per-vector VJPs at the point
+    x, h = rand(16, (8, 6, 6)), rand(17, (8, 6, 6))
+    est = spectral_radius(corpus_block, x, h, probes=probes, power_iters=20, seed=8)
+    per_vector = block_jacobian_apply(corpus_block, x, h)
+    ref = reference_arnoldi(lambda _, v: per_vector(v), (8, 6, 6), probes, 20, 8)
+    assert abs(est - ref) <= 1e-12 * ref
+
+
+def test_a_probe_that_breaks_down_stays_frozen_while_the_others_run():
+    # probe 0 sees the rank-1 map u v^T (eigenvalue v.u = 2): its Krylov space
+    # is invariant after 2 vectors; the others see a full-rank map of radius 0.9
+    rng = CounterRng(61)
+    u, v = rng.split(0).normal(12), rng.split(1).normal(12)
+    rank1 = np.outer(u, v) * (2.0 / float(v @ u))
+    q, _ = np.linalg.qr(rng.split(2).normal((12, 12)))
+    full = q @ np.diag(np.linspace(0.9, 0.1, 12)) @ q.T
+    seen = []
+
+    def apply(stack):
+        seen.append(stack.copy())
+        out = stack @ full.T
+        out[0] = rank1 @ stack[0]
+        return out
+
+    est = estimate_spectral_radius(apply, (12,), probes=3, power_iters=10, seed=9)
+    ref = reference_arnoldi(lambda i, w: rank1 @ w if i == 0 else full @ w, (12,), 3, 10, 9)
+    assert abs(est - ref) <= 1e-12 * ref
+    assert abs(est - 2.0) <= 1e-12
+    assert len(seen) == 10
+    assert all(stack[0].any() for stack in seen[:2])
+    assert not any(stack[0].any() for stack in seen[2:])
+    assert all(stack[1:].all() for stack in seen)
+
+
+def test_an_operator_that_returns_a_view_of_its_argument_leaves_the_basis_intact():
+    # reversing the last axis is an involution (eigenvalues +-1); each probe's
+    # Krylov space {v, Pv} is invariant after 2 vectors
+    est = estimate_spectral_radius(lambda v: v[..., ::-1], (6,), probes=2, power_iters=4)
+    assert abs(est - 1.0) <= 1e-12
 
 
 def test_spectral_radius_of_block_linear_proxy():
@@ -133,6 +207,13 @@ def test_spectral_radius_shape_mismatch():
     p = linear_proxy_block()
     with pytest.raises(ValueError):
         spectral_radius(p, np.ones((1, 1, 1)), np.ones((1, 2, 1)))
+
+
+@pytest.mark.parametrize("kwargs", [dict(probes=0), dict(power_iters=1)])
+def test_spectral_radius_needs_a_probe_and_two_krylov_vectors(kwargs):
+    x = np.ones((1, 1, 1))
+    with pytest.raises(ValueError, match="probes >= 1"):
+        spectral_radius(linear_proxy_block(), x, x, **kwargs)
 
 
 def test_implicit_gap_linear_proxy_tiny():
