@@ -76,9 +76,16 @@ def save_checkpoint(path, cfg: HeadConfig, params: HeadParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[HeadConfig, HeadParams]:
+    """The head a checkpoint describes; an entry that is neither a HeadConfig
+    field nor a leaf of that head is an EntryMismatchError."""
     tensors = load_container(path)
     cfg = _read_config(tensors)
     params = init_head(CounterRng(0), cfg)
+    known = {f"config/{f.name}" for f in dataclasses.fields(HeadConfig)}
+    known.update(f"param/{name}" for name, _ in params.leaf_items())
+    unknown = sorted(set(tensors) - known)
+    if unknown:
+        raise EntryMismatchError(f"checkpoint entries {unknown} do not belong to its head")
     for name, arr in params.leaf_items():
         key = f"param/{name}"
         if key not in tensors:

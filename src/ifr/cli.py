@@ -192,10 +192,20 @@ def _load_dataset(cfg: ExperimentConfig, out_dir) -> list:
     return tensors_to_samples(load_container(path))
 
 
+def _check_dataset_fits(dataset: list, head: HeadConfig) -> None:
+    """A ConfigError unless the feature channels and mask classes fit the head."""
+    for sample in dataset[:1]:
+        for what, n, name in (("feature channels", sample.feature.shape[0], "channels"),
+                              ("mask classes", sample.mask.shape[0], "predictor_classes")):
+            if n != getattr(head, name):
+                raise ConfigError(f"dataset {what} {n} != head.{name} {getattr(head, name)}")
+
+
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
     dataset = _load_dataset(cfg, out_dir)
+    _check_dataset_fits(dataset, cfg.head)
     state, metrics = train(cfg.head, cfg.train, dataset, solver_cfg=cfg.solver)
     columns = ["iter", "lr", "loss", "held_out_iou", "solver_converged_frac"]
     rows = [[m[c] for c in columns] for m in metrics]
@@ -288,6 +298,7 @@ def cmd_compare(args) -> int:
         dataset = _load_dataset(cfg, out_dir)
     else:
         dataset = generate(cfg.data)
+    _check_dataset_fits(dataset, cfg.head)
 
     def safe_run(index: int, head: HeadConfig) -> list:
         try:
@@ -361,7 +372,8 @@ def _diagnose_linear(args, out_dir) -> int:
     rows.append(["linear-1d", "implicit_gap", steps, float(abs(solve.root[0] - h[0]))])
     rho = estimate_spectral_radius(lambda v: 0.5 * v, (1,))
     rows.append(["linear-1d", "spectral_radius", steps, rho])
-    rows.extend(["linear-1d", "solve_residual", k, r] for k, r in enumerate(solve.residual_trace))
+    trace = solve.problems[0].residual_trace
+    rows.extend(["linear-1d", "solve_residual", k, r] for k, r in enumerate(trace))
     out_path = _resolve(args.out, out_dir)
     write_csv(out_path, ["input", "metric", "step", "value"], rows)
     print(f"diagnostics {out_path}")
@@ -425,7 +437,7 @@ def cmd_grad_check(args) -> int:
           f"(tolerance {FD_TOLERANCE:.0e})")
     print(f"max rel error vs unroll backprop:    {result.unroll_rel_error:.3e} "
           f"(tolerance {UNROLL_TOLERANCE:.0e})")
-    print(f"adjoint solves converged: {result.adjoint_converged}/{result.adjoint_solves} "
+    print(f"adjoint solves converged: {result.adjoint_converged}/{args.trials} "
           f"(rel_tol {SOLVE_REL_TOL:g}, budget {budget})")
     if result.fd_rel_error > FD_TOLERANCE or result.unroll_rel_error > UNROLL_TOLERANCE:
         print("FAIL")

@@ -24,7 +24,7 @@ from .blocks import (
 )
 from .implicit import ifr_forward
 from .rng import CounterRng
-from .solver import RUNAWAY_FACTOR, DivergenceError, SolverConfig, SolverResult, fixed_point_steps
+from .solver import RUNAWAY_FACTOR, DivergenceError, SolverConfig, SolveStats, fixed_point_steps
 
 # the spectral-radius probes of unroll_convergence
 _PROBES = 3
@@ -185,10 +185,10 @@ def spectral_radius(
 
 def implicit_gap(
     p: DoubleResidualParams, x: np.ndarray, cfg: SolverConfig, unrolled: np.ndarray
-) -> tuple[float, SolverResult]:
+) -> tuple[float, SolveStats]:
     """Max-abs difference between the solver equilibrium and an unroll endpoint
-    of x's shape, and the result of the solve that found the equilibrium."""
+    of x's shape, and the stats of the solve that found the equilibrium."""
     if np.shape(unrolled) != x.shape:
         raise ValueError(f"unrolled shape {np.shape(unrolled)} != x shape {x.shape}")
     rec = ifr_forward(p, x, cfg)
-    return float(np.max(np.abs(rec.equilibrium - unrolled))), rec.forward_result
+    return float(np.max(np.abs(rec.equilibrium - unrolled))), rec.forward_result.problems[0]

@@ -84,9 +84,8 @@ def contractive_block(seed: int, channels: int = 8) -> DoubleResidualParams:
 class GradCheckResult:
     fd_rel_error: float
     unroll_rel_error: float
-    # adjoint solves behind the checked gradients, and how many of them
+    # how many adjoint solves behind the checked gradients (one per trial)
     # reached their tolerance within the budget
-    adjoint_solves: int
     adjoint_converged: int
 
 
@@ -143,7 +142,6 @@ def check_block_gradients(
     return GradCheckResult(
         fd_rel_error=fd_err,
         unroll_rel_error=unroll_err,
-        adjoint_solves=1,
         adjoint_converged=int(back.adjoint_result.converged),
     )
 
@@ -162,7 +160,7 @@ def run_grad_check(
         raise ValueError("trials must be >= 1")
     solver_cfg = SolverConfig(max_iters=budget, rel_tol=SOLVE_REL_TOL)
     worst_fd = worst_unroll = 0.0
-    solves = converged = 0
+    converged = 0
     for t in range(trials):
         block_seed = 1_000 * (seed + 1) + t
         p = contractive_block(block_seed, channels)
@@ -174,6 +172,5 @@ def run_grad_check(
         )
         worst_fd = max(worst_fd, result.fd_rel_error)
         worst_unroll = max(worst_unroll, result.unroll_rel_error)
-        solves += result.adjoint_solves
         converged += result.adjoint_converged
-    return GradCheckResult(worst_fd, worst_unroll, solves, converged)
+    return GradCheckResult(worst_fd, worst_unroll, converged)

@@ -1,7 +1,7 @@
 """Equilibrium feature refinement: root-finding forward, adjoint backward.
 
 Forward: solve phi(h) = F(h; x) - h = 0 from h0 = 0 with the Broyden solver,
-one (C, H, W) sample at a time.
+one (C, H, W) sample at a time, each as a stack of one problem.
 Backward: the gradient through the equilibrium never unrolls the solve.
 With u the upstream cotangent at h*, the adjoint a solves
 
@@ -12,11 +12,11 @@ implicit function theorem. The same Broyden machinery solves this linear
 fixed point, after which single VJP calls at (h*, x) yield the parameter
 and input gradients. Only (h*, x, params, upstream) are ever touched.
 
-The backward also takes a minibatch: `stack_records` joins the per-sample
-records into one (N, C, H, W) record, and ifr_backward then runs one taped
-forward, one batched adjoint solve (each of its F-evaluations is one
-batched input-only VJP) and one with-params VJP whose GEMMs sum the
-parameter gradients over the batch.
+The backward works on a batch: `stack_records` joins the per-sample records
+into one (N, C, H, W) record (a (C, H, W) record is the batch of one), and
+ifr_backward runs one taped forward, one adjoint solve of the N stacked
+problems (each of its F-evaluations is one batched input-only VJP) and one
+with-params VJP whose GEMMs sum the parameter gradients over the batch.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .blocks import (
     block_forward_tape,
     block_vjp_from_tape,
 )
-from .ops import Grads
-from .solver import BatchedSolverResult, SolverConfig, SolverResult, broyden_solve
+from .ops import Grads, as_batch
+from .solver import SolverConfig, SolverResult, broyden_solve
 
 
 @dataclass
@@ -45,7 +45,7 @@ class IfrForwardRecord:
 
     equilibrium: np.ndarray
     input: np.ndarray
-    forward_result: SolverResult | BatchedSolverResult
+    forward_result: SolverResult
     params: DoubleResidualParams
 
 
@@ -55,7 +55,7 @@ class IfrBackwardResult:
 
     d_params: Grads
     d_x: np.ndarray
-    adjoint_result: SolverResult | BatchedSolverResult
+    adjoint_result: SolverResult
 
 
 def ifr_forward(
@@ -63,25 +63,15 @@ def ifr_forward(
 ) -> IfrForwardRecord:
     """Solve the refinement equilibrium h = F(h; x) starting from zeros."""
     apply = block_apply_factory(p, x)
-
-    def residual(h: np.ndarray) -> np.ndarray:
-        return apply(h) - h
-
-    result = broyden_solve(residual, np.zeros_like(x), cfg)
-    return IfrForwardRecord(
-        equilibrium=result.root, input=x, forward_result=result, params=p
-    )
+    result = broyden_solve(lambda h: apply(h[0])[None] - h, np.zeros((1,) + x.shape), cfg)
+    return IfrForwardRecord(result.root[0], x, result, p)
 
 
 def stack_records(recs: list[IfrForwardRecord]) -> IfrForwardRecord:
     """Per-sample records of one block as one (N, C, H, W) batch record."""
     root = np.stack([rec.equilibrium for rec in recs])
-    return IfrForwardRecord(
-        equilibrium=root,
-        input=np.stack([rec.input for rec in recs]),
-        forward_result=BatchedSolverResult(root, [rec.forward_result for rec in recs]),
-        params=recs[0].params,
-    )
+    forward = SolverResult(root, [s for rec in recs for s in rec.forward_result.problems])
+    return IfrForwardRecord(root, np.stack([rec.input for rec in recs]), forward, recs[0].params)
 
 
 def ifr_backward(
@@ -90,25 +80,19 @@ def ifr_backward(
     """Implicit gradients at the solved equilibrium (best effort if unconverged).
 
     A batch record (4-D equilibrium) takes the stacked (N, C, H, W)
-    cotangents and solves its N adjoints as one batched solve, each sample
-    to its own tolerance; adjoint_result.problems holds their results.
+    cotangents and solves its N adjoints as one stack, each sample to its
+    own tolerance; adjoint_result.problems holds their stats.
     """
     if upstream.shape != rec.equilibrium.shape:
         raise ValueError(
             f"upstream shape {upstream.shape} != equilibrium shape {rec.equilibrium.shape}"
         )
-    p = rec.params
-    _, tape = block_forward_tape(p, rec.equilibrium, rec.input)
-
-    def h_vjp(a: np.ndarray) -> np.ndarray:
-        d_r, _ = block_vjp_from_tape(p, tape, a, want_params=False)
-        return d_r
+    p, u = rec.params, as_batch(upstream)
+    _, tape = block_forward_tape(p, as_batch(rec.equilibrium), as_batch(rec.input))
 
     def adjoint_residual(a: np.ndarray) -> np.ndarray:
-        return upstream + h_vjp(a) - a
+        return u + block_vjp_from_tape(p, tape, a, want_params=False)[0] - a
 
-    adjoint = broyden_solve(
-        adjoint_residual, np.zeros_like(upstream), cfg, batched=upstream.ndim == 4
-    )
+    adjoint = broyden_solve(adjoint_residual, np.zeros_like(u), cfg)
     d_r, grads = block_vjp_from_tape(p, tape, adjoint.root, want_params=True)
-    return IfrBackwardResult(d_params=grads, d_x=d_r, adjoint_result=adjoint)
+    return IfrBackwardResult(grads, d_r.reshape(upstream.shape), adjoint)

@@ -5,17 +5,19 @@ starts at -I and accumulates rank-one corrections, kept as (u, v) pair
 history so no dense matrix is ever formed. The history holds one pair per
 step of the budget, so no pair is ever evicted. With the -I seed the first
 step is x1 = x0 + g(x0), i.e. a plain fixed-point step when
-g(h) = F(h) - h. The loop solves N independent problems stacked on a
+g(h) = F(h) - h. Every solve is of N independent problems stacked on a
 leading axis, each with its own history (one row of an (N, m, d) stack),
-tolerance test, divergence guard and best iterate, so one batched call of
-the residual map serves them all; a single problem is the N = 1 case.
-Each step applies the estimate B once and B^T once: B g is carried across
-the rank-one update. A plain fixed-point iterator is the package's one
-untaped unroll loop, the long-horizon oracle the solver is tested against.
+tolerance test, divergence guard, best iterate and SolveStatus, so one
+batched call of the residual map serves them all; a single problem is a
+stack of one. Each step applies the estimate B once and B^T once: B g is
+carried across the rank-one update. A plain fixed-point iterator is the
+package's one untaped unroll loop, the long-horizon oracle the solver is
+tested against.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -47,15 +49,26 @@ class SolverConfig:
             raise ValueError("rel_tol must be positive and finite")
 
 
-@dataclass
-class SolverResult:
-    """One problem's solve."""
+class SolveStatus(enum.Enum):
+    """How one problem's solve ended."""
 
-    root: np.ndarray
+    CONVERGED = "converged"  # its relative residual fell below rel_tol
+    BUDGET = "budget"  # max_iters steps ran out first
+    DIVERGED = "diverged"  # |g| outgrew DIVERGENCE_FACTOR * |g(x0)|
+    NON_FINITE = "non-finite"  # an iterate or its residual overflowed
+
+
+@dataclass
+class SolveStats:
+    """One problem's solve; its root is its row of SolverResult.root."""
+
     residual_trace: list[float]
-    converged: bool
+    status: SolveStatus
     best_iteration: int
-    note: str = ""
+
+    @property
+    def converged(self) -> bool:
+        return self.status is SolveStatus.CONVERGED
 
     @property
     def iterations_used(self) -> int:
@@ -63,16 +76,17 @@ class SolverResult:
 
 
 @dataclass
-class BatchedSolverResult:
-    """A solve of N stacked problems: problems[i] is problem i's own result.
+class SolverResult:
+    """A solve of the problems stacked on root's leading axis: problems[i]
+    is problem i's own stats.
 
-    converged and iterations_used summarize the batch as one solve (all
+    converged and iterations_used summarize the stack as one solve (all
     problems converged; the evaluations of residual_fn the slowest problem
-    used), so a caller that counts solves reads a batch like any result.
+    used), so a caller that counts solves reads any stack alike.
     """
 
     root: np.ndarray
-    problems: list[SolverResult]
+    problems: list[SolveStats]
 
     @property
     def converged(self) -> bool:
@@ -87,9 +101,7 @@ def broyden_solve(
     residual_fn: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     cfg: SolverConfig,
-    *,
-    batched: bool = False,
-) -> SolverResult | BatchedSolverResult:
+) -> SolverResult:
     """Find g(x) = 0 with good Broyden updates.
 
     residual_trace[k] is the relative residual |g(x_k)| / (|x_k| + 1e-9) at
@@ -100,17 +112,16 @@ def broyden_solve(
     point worse than its start. The solve stops as diverged when |g(x_k)|
     outgrows DIVERGENCE_FACTOR * |g(x0)|.
 
-    With batched=True, x0 stacks N independent problems on its leading axis
-    and residual_fn maps such a stack to the stack of their residuals. Each
-    problem keeps its own history, tolerance test, divergence guard and best
-    iterate. A problem that stops is frozen: residual_fn still sees its last
-    iterate while the others go on. Returns a BatchedSolverResult; a plain
-    call is the N = 1 case and returns that problem's SolverResult.
+    x0 stacks N independent problems on its leading axis, and residual_fn
+    maps such a stack to the stack of their residuals. Each problem keeps
+    its own history, tolerance test, divergence guard and best iterate. A
+    problem that stops is frozen: residual_fn still sees its last iterate
+    while the others go on.
     """
     shape = x0.shape
-    n = shape[0] if batched else 1
+    n = shape[0] if shape else 0
     if n < 1:
-        raise ValueError("a batched solve needs at least one problem")
+        raise ValueError(f"x0 must stack at least one problem, got shape {shape}")
     x = np.array(x0, dtype=np.float64).reshape(n, -1)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
@@ -142,7 +153,8 @@ def broyden_solve(
     traces = [[r] for r in best_rel]
     best_iter = [0] * n
     best_x = x.copy()
-    notes = [""] * n
+    # DIVERGED and NON_FINITE are set where they happen; the others at the end
+    status = [SolveStatus.BUDGET] * n
     # the relative residual at x0 = 0 is |g| / 1e-9, so divergence is
     # measured on the absolute residual
     runaway = [DIVERGENCE_FACTOR * gn for gn in start_norm]
@@ -168,7 +180,7 @@ def broyden_solve(
         for i in live:
             # a norm that overflows counts as non-finite too
             if not math.isfinite(g_norm[i] + x_norm[i]):
-                notes[i] = f"non-finite iterate at step {step}"
+                status[i] = SolveStatus.NON_FINITE
                 x_new[i], g_new[i] = x[i], 0.0
                 stopped.append(i)
                 continue
@@ -178,7 +190,7 @@ def broyden_solve(
                 best_rel[i], best_iter[i] = rel, step
                 best_x[i] = x_new[i]
             if g_norm[i] > runaway[i]:
-                notes[i] = f"residual diverged at step {step}"
+                status[i] = SolveStatus.DIVERGED
                 stopped.append(i)
             elif best_rel[i] < cfg.rel_tol:
                 stopped.append(i)
@@ -220,18 +232,8 @@ def broyden_solve(
             b_g_new[frozen] = 0.0
         b_g = b_g_new
 
-    root = best_x.reshape(shape)
-    problems = [
-        SolverResult(
-            root=root[i] if batched else root,
-            residual_trace=traces[i],
-            converged=best_rel[i] < cfg.rel_tol,
-            best_iteration=best_iter[i],
-            note=notes[i],
-        )
-        for i in range(n)
-    ]
-    return BatchedSolverResult(root, problems) if batched else problems[0]
+    status = [SolveStatus.CONVERGED if r < cfg.rel_tol else s for r, s in zip(best_rel, status)]
+    return SolverResult(best_x.reshape(shape), list(map(SolveStats, traces, status, best_iter)))
 
 
 def fixed_point_steps(

@@ -27,7 +27,7 @@ from .data import Sample, samples_to_tensors
 from .implicit import ifr_backward, ifr_forward, stack_records
 from .ops import Grads, ShapeError, as_batch, floor_direction_norms
 from .rng import CounterRng
-from .solver import SolverConfig
+from .solver import SolverConfig, SolveStats, SolveStatus
 
 _INIT_TAG = 11
 _BATCH_TAG = 23
@@ -258,52 +258,47 @@ def _finite_stack(params: HeadParams, cfg: HeadConfig) -> list:
 
 def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, x,
                     keep_tape: bool = True):
-    """Returns (refined, ctx, converged, diverged), the last two as counts of forward
-    solves; a finite head runs none, and its ctx holds its tapes if keep_tape."""
+    """Returns (refined, ctx, forward), forward the SolveStats of the per-sample
+    forward solves; a finite head runs none, and its ctx holds its tapes if keep_tape."""
     if cfg.strategy != IMPLICIT:
         out = blocks.stacked_head_forward(_finite_stack(params, cfg), x, keep_tape)
         h, tapes = out if keep_tape else (out, None)
-        return h, tapes, 0, 0
+        return h, tapes, []
     rec = stack_records([ifr_forward(params.stages[0], xi, solver_cfg) for xi in as_batch(x)])
-    solves = rec.forward_result.problems
-    converged = sum(solve.converged for solve in solves)
-    diverged = sum(bool(solve.note) for solve in solves)
-    return rec.equilibrium.reshape(x.shape), rec, converged, diverged
+    return rec.equilibrium.reshape(x.shape), rec, rec.forward_result.problems
 
 
 def _refine_vjp(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, ctx, x, d_h):
-    """Returns (stage_grads, adjoint_unconverged), summed and counted over the samples."""
+    """Returns (stage_grads, adjoint): the gradients summed over the samples, and
+    the SolveStats of their adjoint solves."""
     if cfg.strategy != IMPLICIT:
         _, stage_grads = blocks.stacked_head_vjp(_finite_stack(params, cfg), x, d_h, tapes=ctx)
-        return stage_grads, 0
+        return stage_grads, []
     result = ifr_backward(ctx, as_batch(d_h), solver_cfg)
-    unconverged = sum(not solve.converged for solve in result.adjoint_result.problems)
-    return [result.d_params], unconverged
+    return [result.d_params], result.adjoint_result.problems
 
 
 def sample_loss_and_grads(
     params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, sample: Sample
-) -> tuple[float, Grads, tuple[int, int], int]:
+) -> tuple[float, Grads, list[SolveStats], list[SolveStats]]:
     """Forward + backward for one sample or a batch.
 
-    Returns (loss, grads, (converged, diverged), adjoint_unconverged).
-    sample holds one (C, H, W) feature and its mask, or a batch of them
-    along a leading axis (see _stack). The loss and the gradients are sums
-    over the batch; grads has exactly the names, order and shapes of
-    params.leaf_items(). converged and diverged count the forward solves,
-    and adjoint_unconverged the adjoint solves that stopped short of their
-    tolerance, whose gradient terms are not the exact implicit-function
-    gradients. A finite-depth strategy runs no solve and counts none.
+    Returns (loss, grads, forward, adjoint). sample holds one (C, H, W)
+    feature and its mask, or a batch of them along a leading axis (see
+    _stack). The loss and the gradients are sums over the batch; grads has
+    exactly the names, order and shapes of params.leaf_items(). forward and
+    adjoint hold one SolveStats per sample; an adjoint solve that stopped
+    short of its tolerance gave gradient terms that are not the exact
+    implicit-function gradients. A finite-depth strategy runs no solve, and
+    both lists are empty.
     """
-    h, ctx, converged, diverged = _refine_forward(params, cfg, solver_cfg, sample.feature)
+    h, ctx, forward = _refine_forward(params, cfg, solver_cfg, sample.feature)
     logits, pred_tape = blocks.mask_predictor_forward(params.predictor, h, keep_tape=True)
     loss, d_logits = bce_mask_loss(logits, sample.mask)
     d_h, pred_grads = blocks.mask_predictor_vjp(params.predictor, h, pred_tape, d_logits)
-    stage_grads, adjoint_unconverged = _refine_vjp(
-        params, cfg, solver_cfg, ctx, sample.feature, d_h
-    )
+    stage_grads, adjoint = _refine_vjp(params, cfg, solver_cfg, ctx, sample.feature, d_h)
     grads = blocks.head_grads(stage_grads, pred_grads)
-    return loss, grads, (converged, diverged), adjoint_unconverged
+    return loss, grads, forward, adjoint
 
 
 def init_train_state(
@@ -331,8 +326,8 @@ def evaluate(state: TrainState, dataset: list[Sample]) -> EvalMetrics:
     iou_total = loss_total = 0.0
     for start in range(0, len(dataset), EVAL_CHUNK):
         chunk = _stack(dataset[start : start + EVAL_CHUNK])
-        h, _, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg,
-                                     chunk.feature, keep_tape=False)
+        h, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg,
+                                  chunk.feature, keep_tape=False)
         logits = blocks.mask_predictor_forward(state.params.predictor, h)
         for sample_logits, mask in zip(logits, chunk.mask):
             loss, _ = bce_mask_loss(sample_logits, mask)
@@ -362,7 +357,8 @@ def train(
     The dataset tail (_HOLDOUT_FRACTION of it) is held out for IoU logging.
     A row's solver_converged_frac is None when its window ran no forward
     solve, as for the explicit and unrolled heads.
-    Aborts if more than half the forward solves in a logging window diverge.
+    Aborts if more than half the forward solves in a logging window end
+    diverged or non-finite.
     Issues one OffEquilibriumWarning per run if any forward or adjoint solve
     of a training sample stopped unconverged.
     """
@@ -380,25 +376,20 @@ def train(
 
     metrics: list[dict] = []
     window_losses: list[float] = []
-    window_converged = 0
-    window_diverged = 0
-    window_solves = 0
+    window_forward: list[SolveStats] = []
     run_solves = run_forward_converged = run_adjoint_converged = 0
 
     for it in range(train_cfg.total_iters):
         lr = lr_at(train_cfg, it)
         idx = np.atleast_1d(batch_rng.integers(0, n_train, (train_cfg.batch_size,)))
         batch = _stack([train_set[int(j)] for j in idx])
-        loss, grads, (converged, diverged), adjoint_unconverged = sample_loss_and_grads(
+        loss, grads, forward, adjoint = sample_loss_and_grads(
             state.params, head_cfg, solver, batch
         )
-        solves = len(idx) if head_cfg.strategy == IMPLICIT else 0
-        window_solves += solves
-        window_converged += converged
-        window_diverged += diverged
-        run_solves += solves
-        run_forward_converged += converged
-        run_adjoint_converged += solves - adjoint_unconverged
+        window_forward += forward
+        run_solves += len(forward)
+        run_forward_converged += sum(s.converged for s in forward)
+        run_adjoint_converged += sum(s.converged for s in adjoint)
         batch_loss = loss / train_cfg.batch_size
         for arr in grads.values():
             arr /= train_cfg.batch_size
@@ -410,7 +401,8 @@ def train(
 
         if (it + 1) % log_every == 0 or it + 1 == train_cfg.total_iters:
             held = evaluate(state, holdout_set)
-            frac = window_converged / window_solves if window_solves else None
+            solves = len(window_forward)
+            frac = sum(s.converged for s in window_forward) / solves if solves else None
             metrics.append(
                 {
                     "iter": it + 1,
@@ -420,13 +412,14 @@ def train(
                     "solver_converged_frac": frac,
                 }
             )
-            if window_solves and window_diverged / window_solves > 0.5:
+            failed = sum(s.status in (SolveStatus.DIVERGED, SolveStatus.NON_FINITE)
+                         for s in window_forward)
+            if solves and failed / solves > 0.5:
                 raise TrainingAbortedError(
-                    f"{window_diverged}/{window_solves} forward solves diverged "
+                    f"{failed}/{solves} forward solves diverged or went non-finite "
                     f"in the window ending at iteration {it + 1}"
                 )
-            window_losses = []
-            window_converged = window_diverged = window_solves = 0
+            window_losses, window_forward = [], []
 
     if min(run_forward_converged, run_adjoint_converged) < run_solves:
         warnings.warn(

@@ -170,10 +170,10 @@ def test_linear_case_adjoint_exactness_vs_elimination_oracle():
     u = rng.normal((16,))
 
     adjoint = broyden_solve(
-        lambda v: u + a.T @ v - v, np.zeros(16), SolverConfig(max_iters=40, rel_tol=1e-13)
+        lambda v: u + v @ a - v, np.zeros((1, 16)), SolverConfig(max_iters=40, rel_tol=1e-13)
     )
     oracle = np.linalg.solve(np.eye(16) - a.T, u)
-    assert np.abs(adjoint.root - oracle).max() < 1e-8
+    assert np.abs(adjoint.root[0] - oracle).max() < 1e-8
 
 
 def test_run_grad_check_negative_control():
@@ -211,7 +211,8 @@ def test_stacked_record_keeps_each_forward_solve():
     recs = [ifr_forward(p, x, TIGHT) for x in xs]
     rec = stack_records(recs)
     assert rec.equilibrium.shape == rec.input.shape == (3, 8, 6, 6)
-    assert [s is r.forward_result for s, r in zip(rec.forward_result.problems, recs)] == [True] * 3
+    assert [s is r.forward_result.problems[0]
+            for s, r in zip(rec.forward_result.problems, recs)] == [True] * 3
     assert np.array_equal(rec.equilibrium[1], recs[1].equilibrium)
 
 
@@ -227,4 +228,21 @@ def test_batched_adjoint_keeps_a_sample_converged_at_its_start():
     assert [s.converged for s in batch.problems] == [a.converged for a in alone] == [True, False]
     assert [s.iterations_used for s in batch.problems] == [1, 4]
     assert not batch.root[0].any()
-    assert np.abs(batch.root[1] - alone[1].root).max() <= 1e-12
+    assert np.abs(batch.root[1] - alone[1].root[0]).max() <= 1e-12
+
+
+def test_backward_of_a_sample_is_its_batch_of_one_bit_for_bit():
+    p = contractive_block(seed=4325)
+    x, u = rand(60, (8, 6, 6)), rand(61, (8, 6, 6))
+    rec = ifr_forward(p, x, SolverConfig(max_iters=15, rel_tol=1e-10))
+    cfg = SolverConfig(max_iters=6, rel_tol=1e-10)
+    single = ifr_backward(rec, u, cfg)
+    batch = ifr_backward(stack_records([rec]), u[None], cfg)
+    assert single.d_x.shape == x.shape and batch.d_x.shape == (1,) + x.shape
+    assert np.array_equal(single.d_x, batch.d_x[0])
+    assert [name for name, _ in single.d_params.leaf_items()] == [
+        name for name, _ in batch.d_params.leaf_items()]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(
+        single.d_params.leaf_items(), batch.d_params.leaf_items()))
+    assert single.adjoint_result.problems == batch.adjoint_result.problems
+    assert np.array_equal(single.adjoint_result.root, batch.adjoint_result.root)

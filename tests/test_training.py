@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ifr import blocks, data, ops, solver, training
+from ifr import blocks, data, implicit, ops, solver, training
 from ifr.blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig
 from ifr.gradcheck import guarded_max_rel_error
 from ifr.ops import Grads, ShapeError, finite_difference_grad
@@ -280,6 +280,29 @@ def test_train_aborts_on_persistent_divergence(grid_dataset, monkeypatch):
         train(grid_head(IMPLICIT, 5), cfg, grid_dataset[:40], solver_cfg=bad_solver, log_every=5)
 
 
+def test_train_aborts_when_forward_solves_go_non_finite(grid_dataset, monkeypatch):
+    # a block map that overflows off its start point: every forward solve
+    # ends non-finite at step 1 and returns h0 = 0, so training runs on
+    # until the window's count trips the abort
+    monkeypatch.setattr(implicit, "block_apply_factory",
+                        lambda p, x: lambda h: np.where(h == 0.0, 1.0, np.inf))
+    statuses = []
+    real = training.sample_loss_and_grads
+
+    def recording(*args):
+        out = real(*args)
+        statuses.extend(s.status for s in out[2])
+        return out
+
+    monkeypatch.setattr(training, "sample_loss_and_grads", recording)
+    cfg = grid_train_cfg(total_iters=10, decay_points=(), warmup_iters=2)
+    with pytest.raises(TrainingAbortedError, match="^40/40 forward solves diverged or went "
+                       "non-finite in the window ending at iteration 5$"):
+        train(grid_head(IMPLICIT, 5), cfg, grid_dataset[:40], solver_cfg=GRID_SOLVER,
+              log_every=5)
+    assert statuses == [solver.SolveStatus.NON_FINITE] * 40
+
+
 def test_train_rejects_empty_dataset():
     with pytest.raises(ValueError):
         train(grid_head(IMPLICIT, 5), grid_train_cfg(total_iters=1, decay_points=()), [])
@@ -317,7 +340,7 @@ def test_batched_grads_are_the_sum_of_single_sample_grads(grid_dataset, strategy
     state = init_train_state(grid_head(strategy, depth), grid_train_cfg(), GRID_SOLVER)
     samples = grid_dataset[:5]
     batch = training._stack(samples)
-    loss, grads, counts, adjoint_unconverged = training.sample_loss_and_grads(
+    loss, grads, forward, adjoint = training.sample_loss_and_grads(
         state.params, state.head_cfg, state.solver_cfg, batch
     )
     singles = [
@@ -325,8 +348,9 @@ def test_batched_grads_are_the_sum_of_single_sample_grads(grid_dataset, strategy
         for s in samples
     ]
     assert loss == pytest.approx(sum(r[0] for r in singles), rel=1e-12)
-    assert counts == (sum(r[2][0] for r in singles), sum(r[2][1] for r in singles))
-    assert adjoint_unconverged == sum(r[3] for r in singles)
+    assert [s.status for s in forward] == [s.status for r in singles for s in r[2]]
+    assert sum(not s.converged for s in adjoint) == sum(
+        not s.converged for r in singles for s in r[3])
     summed = {}
     for _, g, _, _ in singles:
         for name, arr in g.leaf_items():
