@@ -31,6 +31,7 @@ STRATEGIES = (EXPLICIT, UNROLLED, IMPLICIT)
 
 SHORTCUT_IDENTITY = "identity"
 SHORTCUT_CONV = "conv1x1"
+SHORTCUT_MODES = (SHORTCUT_IDENTITY, SHORTCUT_CONV)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ class HeadConfig:
             raise ValueError(f"{self.strategy} needs depth_or_budget >= {floor}")
         if self.channels < 1 or self.predictor_classes < 1:
             raise ValueError("channels and predictor_classes must be positive")
-        if self.shortcut_mode not in (SHORTCUT_IDENTITY, SHORTCUT_CONV):
+        if self.shortcut_mode not in SHORTCUT_MODES:
             raise ValueError(f"unknown shortcut_mode {self.shortcut_mode!r}")
         for init in (self.gn2_scale_init, self.shortcut_gain_init):
             if not np.isfinite(init):

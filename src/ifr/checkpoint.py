@@ -13,14 +13,7 @@ import typing
 
 import numpy as np
 
-from .blocks import (
-    SHORTCUT_CONV,
-    SHORTCUT_IDENTITY,
-    STRATEGIES,
-    HeadConfig,
-    HeadParams,
-    init_head,
-)
+from .blocks import SHORTCUT_MODES, STRATEGIES, HeadConfig, HeadParams, init_head
 from .data import EntryMismatchError, load_container, save_container
 from .rng import CounterRng
 
@@ -28,7 +21,7 @@ _HINTS = typing.get_type_hints(HeadConfig)
 # string and bool fields are stored as their index into the tuple of allowed
 # values; an int field as itself, so it must read back as an exact integer
 _CODES = {name: (False, True) for name, hint in _HINTS.items() if hint is bool}
-_CODES.update(strategy=STRATEGIES, shortcut_mode=(SHORTCUT_IDENTITY, SHORTCUT_CONV))
+_CODES.update(strategy=STRATEGIES, shortcut_mode=SHORTCUT_MODES)
 
 
 def _config_tensors(cfg: HeadConfig) -> dict[str, np.ndarray]:

@@ -204,6 +204,9 @@ def samples_to_tensors(samples: list[Sample]) -> dict[str, np.ndarray]:
 
 
 def tensors_to_samples(tensors: dict[str, np.ndarray]) -> list[Sample]:
+    missing = [name for name in ("features", "masks") if name not in tensors]
+    if missing:
+        raise EntryMismatchError(f"dataset container missing entries {missing}")
     feats, masks = tensors["features"], tensors["masks"]
     if feats.shape[0] != masks.shape[0]:
         raise EntryMismatchError("features and masks disagree on sample count")

@@ -123,6 +123,11 @@ def test_gen_data_invalid_count_is_config_error(tmp_path, capsys):
         {"data": {"identity_encoder": True}},
         {"output_dir": None},
         {"output_dir": 5},
+        {"head": {"weight_norm": "no"}},
+        {"head": {"double_residual": 1}},
+        {"solver": {"rel_tol": True}},
+        {"head": {"channel_multiplier": True}},
+        {"head": {"gn2_scale_cap": "0.1"}},
     ],
 )
 @pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
@@ -148,6 +153,65 @@ def test_non_string_dataset_path_is_config_error(tmp_path, capsys, dataset_path,
     }[command]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: dataset_path must be a string or null")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"head": {"weight_norm": "no"}}, "head.weight_norm must be a boolean"),
+    ({"head": {"weight_norm": 1}}, "head.weight_norm must be a boolean"),
+    ({"head": {"double_residual": 1}}, "head.double_residual must be a boolean"),
+    ({"solver": {"rel_tol": True}}, "solver.rel_tol must be a number"),
+    ({"head": {"channel_multiplier": True}}, "head.channel_multiplier must be a number"),
+    ({"head": {"gn2_scale_cap": "0.1"}}, "head.gn2_scale_cap must be a number or null"),
+    ({"head": {"strategy": 3}}, "head.strategy must be a string"),
+    ({"train": {"decay_points": [4, True]}}, "train.decay_points must be a list of integers"),
+    ({"solver": [8]}, "solver must be an object"),
+])
+def test_a_mistyped_field_is_named_before_anything_is_written(tmp_path, capsys, overrides,
+                                                              message):
+    good = write_config(tmp_path / "good.json", dataset_path="d.ifr")
+    assert main(["gen-data", "--config", str(good), "--out", "d.ifr"]) == 0
+    capsys.readouterr()
+    cfg = write_config(tmp_path / "cfg.json", dataset_path="d.ifr", **overrides)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}, got ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.ifr", "good.json"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "compare"])
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    argv = {
+        "gen-data": ["gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.ifr")],
+        "train": ["train", "--config", str(cfg)],
+        "compare": ["compare", "--config", str(cfg), "--strategies", "implicit-broyden"],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: config is not UTF-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("container,missing", [
+    ("checkpoint", ["features", "masks"]),
+    ("features-only", ["masks"]),
+])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_dataset_container_without_its_entries_is_an_io_error(
+    tmp_path, capsys, container, missing, command
+):
+    cfg = write_config(tmp_path / "cfg.json", dataset_path="c.ifr")
+    if container == "checkpoint":
+        head = load_experiment_config(cfg).head
+        save_checkpoint(tmp_path / "c.ifr", head, init_head(CounterRng(0), head))
+    else:
+        save_container(tmp_path / "c.ifr", {"features": np.zeros((2, 4, 14, 14))})
+    argv = {
+        "train": ["train", "--config", str(cfg)],
+        "compare": ["compare", "--config", str(cfg), "--strategies", "implicit-broyden"],
+    }[command]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: dataset container missing entries {missing}\n"
     assert not list(tmp_path.glob("*.csv"))
 
 
