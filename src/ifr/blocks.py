@@ -305,10 +305,10 @@ class _PreparedBlock(DoubleResidualParams):
         (scale1, shift1), (scale2, shift2) = self.affine
         r = h + x
         c1 = conv1(r)
-        xhat1, inv_std1 = ops._group_stats(c1, self.gn1)
+        xhat1, inv_std1 = ops.group_stats(c1, self.gn1)
         a1 = np.maximum(xhat1 * scale1 + shift1, 0.0)
         c2 = conv2(a1)
-        xhat2, inv_std2 = ops._group_stats(c2, self.gn2)
+        xhat2, inv_std2 = ops.group_stats(c2, self.gn2)
         out = xhat2 * scale2 + shift2
         if self.residual_enabled:
             out = out + (r if shortcut is None else shortcut(r))
@@ -479,7 +479,7 @@ def mask_predictor_forward(p: MaskPredictorParams, h: np.ndarray, keep_tape: boo
     With keep_tape, returns (logits, a): a is the ReLU of the upsampled
     feature, the one intermediate mask_predictor_vjp reads.
     """
-    a = ops.relu(ops.deconv2x2(h, p.deconv))
+    a = np.maximum(ops.deconv2x2(h, p.deconv), 0.0)
     logits = ops.conv2d(a, p.proj)
     return (logits, a) if keep_tape else logits
 
@@ -490,7 +490,7 @@ def mask_predictor_vjp(
     """Adjoints w.r.t. h and the predictor's leaves, given the forward's tape a."""
     d_a, proj_g = ops.conv2d_vjp(a, p.proj, cotangent)
     # a > 0 exactly where the deconv output is, so a masks like the ReLU's input
-    d_d = ops.relu_vjp(a, d_a)
+    d_d = np.where(a > 0.0, d_a, 0.0)
     d_h, deconv_g = ops.deconv2x2_vjp(h, p.deconv, d_d)
     return d_h, Grads(ops.nested_leaf_items("", _predictor_parts(deconv_g, proj_g)))
 

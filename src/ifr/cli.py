@@ -189,10 +189,16 @@ def _load_dataset(cfg: ExperimentConfig, out_dir) -> list:
 
 
 def _check_dataset_fits(dataset: list, head: HeadConfig) -> None:
-    """A ConfigError unless the feature channels and mask classes fit the head."""
-    for sample in dataset[:1]:
-        for what, n, name in (("feature channels", sample.feature.shape[0], "channels"),
-                              ("mask classes", sample.mask.shape[0], "predictor_classes")):
+    """A ConfigError unless the dataset has samples, each a (head.channels, H, W)
+    feature and a (head.predictor_classes, 2H, 2W) mask."""
+    if not dataset:
+        raise ConfigError("dataset has no samples")
+    for feature, mask in {(s.feature.shape, s.mask.shape) for s in dataset}:
+        if len(feature) != 3 or len(mask) != 3 or mask[1:] != (2 * feature[1], 2 * feature[2]):
+            raise ConfigError(f"dataset mask shape {mask} is not (classes, 2H, 2W) "
+                              f"for feature shape {feature}")
+        for what, n, name in (("feature channels", feature[0], "channels"),
+                              ("mask classes", mask[0], "predictor_classes")):
             if n != getattr(head, name):
                 raise ConfigError(f"dataset {what} {n} != head.{name} {getattr(head, name)}")
 

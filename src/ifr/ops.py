@@ -6,14 +6,18 @@ case of the same code. A convolution is stride-1 with an odd square kernel
 and zero padding of k // 2, so its output keeps the input's size. It and
 the 2x2 transposed convolution run as one GEMM over the N*H*W columns of
 the batch, so a parameter gradient sums over the batch inside that GEMM;
-group-norm statistics are taken per sample. Every operation here is pure,
-validates shapes and finiteness on entry (one check per batch), and has an
-exact hand-derived adjoint so that block- and head-level backward passes
-can be composed without an autodiff tape. A VJP returns the adjoint of its
+group-norm statistics are taken per sample. Every operation here is pure
+and has an exact hand-derived adjoint, so block- and head-level backward
+passes compose without an autodiff tape. A VJP returns the adjoint of its
 input and, for an op with parameters, a `Grads`: the ordered leaf-name ->
-array mapping that the parameter record's `leaf_items()` yields, summed
-over the batch. The exception is `ConvGemm`, the prepared convolution they
-run on: it checks nothing and may keep a padding buffer.
+array mapping of the record's `leaf_items()`, summed over the batch.
+
+`conv2d`, `conv2d_vjp`, `deconv2x2` and `deconv2x2_vjp`, which the mask
+predictor calls, check shapes and finiteness on entry (one check per batch).
+The pieces the block runs after its `_check_operands` check nothing:
+`ConvGemm`, `transposed_conv`, `conv2d_input_vjp`, `conv2d_param_grads`, and
+group norm, `xhat * scale + shift` from `group_stats`, with its adjoint
+halves `group_norm_input_vjp` and `group_norm_param_grads`.
 """
 
 from __future__ import annotations
@@ -390,10 +394,10 @@ def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# normalization and pointwise ops
+# group normalization
 
 
-def _group_stats(x: np.ndarray, p: GroupNormParams):
+def group_stats(x: np.ndarray, p: GroupNormParams):
     """(xhat, inv_std): statistics per sample and group, inv_std shaped (..., groups)."""
     grouped = x.reshape(x.shape[:-3] + (p.num_groups, -1))
     k = grouped.shape[-1]
@@ -403,15 +407,6 @@ def _group_stats(x: np.ndarray, p: GroupNormParams):
     inv_std = 1.0 / np.sqrt(var + GROUP_NORM_EPSILON)
     xhat = (centered * inv_std[..., None]).reshape(x.shape)
     return xhat, inv_std
-
-
-def group_norm(x: np.ndarray, p: GroupNormParams) -> np.ndarray:
-    """Mean-zero/unit-variance per sample and group, then per-channel affine."""
-    x = check_maps(x, "group_norm input")
-    if x.shape[-3] != p.channels:
-        raise ShapeError(f"input has {x.shape[-3]} channels, params expect {p.channels}")
-    xhat, _ = _group_stats(x, p)
-    return xhat * p.scale[:, None, None] + p.shift[:, None, None]
 
 
 def group_norm_input_vjp(
@@ -431,32 +426,6 @@ def group_norm_input_vjp(
 def group_norm_param_grads(xhat: np.ndarray, cotangent: np.ndarray) -> Grads:
     """Scale and shift gradients given the normalized input xhat."""
     return Grads(scale=_channel_sum(cotangent * xhat), shift=_channel_sum(cotangent))
-
-
-def group_norm_vjp(
-    x: np.ndarray, p: GroupNormParams, cotangent: np.ndarray
-) -> tuple[np.ndarray, Grads]:
-    x = check_maps(x, "group_norm input")
-    cotangent = check_maps(cotangent, "group_norm cotangent")
-    if cotangent.shape != x.shape:
-        raise ShapeError(f"cotangent shape {cotangent.shape} != input shape {x.shape}")
-    xhat, inv_std = _group_stats(x, p)
-    grads = group_norm_param_grads(xhat, cotangent)
-    return group_norm_input_vjp(xhat, inv_std, p, cotangent), grads
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    check_finite(x, "relu input")
-    return np.maximum(x, 0.0)
-
-
-def relu_vjp(x: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
-    """Masks the cotangent where input <= 0 (subgradient 0 at the tie)."""
-    check_finite(x, "relu input")
-    check_finite(cotangent, "relu cotangent")
-    if cotangent.shape != x.shape:
-        raise ShapeError(f"cotangent shape {cotangent.shape} != input shape {x.shape}")
-    return np.where(x > 0.0, cotangent, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from ifr.blocks import (
     EXPLICIT,
     IMPLICIT,
     UNROLLED,
-    DivergenceError,
     DoubleResidualParams,
     HeadConfig,
     count_block_parameters,
@@ -27,7 +26,7 @@ from ifr.blocks import (
 )
 from ifr.ops import ConvParams, GroupNormParams, ShapeError, finite_difference_grad
 from ifr.rng import CounterRng
-from ifr.solver import fixed_point_iterate
+from ifr.solver import DivergenceError, fixed_point_iterate
 
 from conftest import max_rel, rand
 
@@ -483,10 +482,10 @@ def _ref_block_forward(p, h, x):
     ks = None if p.shortcut is None else ops.effective_kernel(p.shortcut)
     r = h + x
     c1 = _ref_conv(r, k1, p.w1.bias)
-    xhat1, inv_std1 = ops._group_stats(c1, p.gn1)
+    xhat1, inv_std1 = ops.group_stats(c1, p.gn1)
     a1 = np.maximum(xhat1 * p.gn1.scale[:, None, None] + p.gn1.shift[:, None, None], 0.0)
     c2 = _ref_conv(a1, k2, p.w2.bias)
-    xhat2, inv_std2 = ops._group_stats(c2, p.gn2)
+    xhat2, inv_std2 = ops.group_stats(c2, p.gn2)
     out = xhat2 * p.gn2.scale[:, None, None] + p.gn2.shift[:, None, None]
     if p.residual_enabled:
         out = out + (r if ks is None else _ref_conv(r, ks, p.shortcut.bias))

@@ -391,6 +391,26 @@ def test_a_dataset_that_does_not_fit_the_head_is_a_config_error(
     assert not (tmp_path / "checkpoint.ifr").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("features,masks,message", [
+    ((6, 4, 10, 10), (6, 1, 28, 28),
+     "dataset mask shape (1, 28, 28) is not (classes, 2H, 2W) for feature shape (4, 10, 10)"),
+    ((6, 4, 14), (6, 1, 28, 28),
+     "dataset mask shape (1, 28, 28) is not (classes, 2H, 2W) for feature shape (4, 14)"),
+    ((0, 4, 14, 14), (0, 1, 28, 28), "dataset has no samples"),
+], ids=["10x10-features-28x28-masks", "2d-features", "empty"])
+def test_a_dataset_of_the_wrong_shape_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, features, masks, message
+):
+    cfg = write_config(tmp_path / "cfg.json", dataset_path="d.ifr")
+    save_container(tmp_path / "d.ifr", {"features": np.zeros(features), "masks": np.zeros(masks)})
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a cell trained"))
+    flags = ["--strategies", "implicit-broyden,explicit-independent:2"] * (command == "compare")
+    assert main([command, "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.ifr"]
+
+
 def test_compare_records_a_failing_cell_as_an_error_row(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.json")
 

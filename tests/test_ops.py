@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from ifr import ops
+from ifr.blocks import (
+    block_forward_tape,
+    block_vjp_from_tape,
+    init_mask_predictor,
+    mask_predictor_forward,
+    mask_predictor_vjp,
+)
+from ifr.gradcheck import contractive_block
 from ifr.ops import (
     ConvParams,
     GroupNormParams,
@@ -17,14 +25,14 @@ from ifr.ops import (
     default_group_count,
     effective_kernel,
     finite_difference_grad,
-    group_norm,
-    group_norm_vjp,
-    relu,
-    relu_vjp,
+    group_norm_input_vjp,
+    group_norm_param_grads,
+    group_stats,
 )
 from ifr.rng import CounterRng
 
 from conftest import max_rel, rand
+from test_blocks import predictor_vjp
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +73,18 @@ def plain_conv(out_c, in_c, k, seed, weight_norm=False):
     gain = rng.uniform((out_c,)) + 0.5
     bias = rng.normal((out_c,)) * 0.1
     return ConvParams(direction, gain, bias, weight_norm)
+
+
+def gn_apply(x, p):
+    """Group norm as the block runs it: group_stats, then the per-channel affine."""
+    xhat, _ = group_stats(x, p)
+    return xhat * p.scale[:, None, None] + p.shift[:, None, None]
+
+
+def gn_vjp(x, p, cot):
+    """(dx, scale and shift gradients) from the two adjoint halves the block runs."""
+    xhat, inv_std = group_stats(x, p)
+    return group_norm_input_vjp(xhat, inv_std, p, cot), group_norm_param_grads(xhat, cot)
 
 
 def vjp_inner_check(f, f_vjp, x, seed, rel_tol=1e-5, eps_scale=1e-5):
@@ -210,20 +230,20 @@ def test_conv2d_vjp_params_match_finite_differences(leaf):
 def test_group_norm_constant_input_gives_zero():
     p = GroupNormParams(2, np.ones(4), np.zeros(4))
     x = np.full((4, 3, 3), 2.5)
-    assert np.allclose(group_norm(x, p), 0.0)
+    assert np.allclose(gn_apply(x, p), 0.0)
 
 
 def test_group_norm_zero_scale_broadcasts_shift():
     shift = np.array([1.0, -2.0, 0.5, 3.0])
     p = GroupNormParams(2, np.zeros(4), shift)
-    out = group_norm(rand(60, (4, 3, 3)), p)
+    out = gn_apply(rand(60, (4, 3, 3)), p)
     assert np.allclose(out, shift[:, None, None])
 
 
 def test_group_norm_statistics_oracle():
     x = rand(61, (6, 5, 5))
     p = GroupNormParams(3, np.ones(6), np.zeros(6))
-    out = group_norm(x, p)  # scale 1 shift 0: output == normalized values
+    out = gn_apply(x, p)  # scale 1 shift 0: output == normalized values
     grouped_in = x.reshape(3, -1)
     grouped_out = out.reshape(3, -1)
     v = grouped_in.var(axis=1)
@@ -244,11 +264,11 @@ def test_group_norm_vjp_matches_finite_differences():
     p = GroupNormParams(2, scale, shift)
     cot = rand(65, x.shape)
 
-    dx, grads = group_norm_vjp(x, p, cot)
-    fd_dx = finite_difference_grad(lambda t: float(np.sum(cot * group_norm(t, p))), x, 1e-6)
+    dx, grads = gn_vjp(x, p, cot)
+    fd_dx = finite_difference_grad(lambda t: float(np.sum(cot * gn_apply(t, p))), x, 1e-6)
     assert np.abs(dx - fd_dx).max() < 1e-6 * max(np.abs(fd_dx).max(), 1.0)
     fd_scale = finite_difference_grad(
-        lambda s: float(np.sum(cot * group_norm(x, GroupNormParams(2, s, shift)))), scale, 1e-6
+        lambda s: float(np.sum(cot * gn_apply(x, GroupNormParams(2, s, shift)))), scale, 1e-6
     )
     assert np.allclose(grads["scale"], fd_scale, atol=1e-6)
     assert np.allclose(grads["shift"], cot.sum(axis=(1, 2)))
@@ -262,22 +282,22 @@ def test_default_group_count():
 
 
 # ---------------------------------------------------------------------------
-# pointwise, deconv, 1x1
+# the predictor's ReLU, deconv, 1x1
 
 
 def test_relu_examples_and_tie_convention():
-    x = np.array([[[-1.0, 0.0, 2.0]]])
-    assert np.allclose(relu(x), [[[0.0, 0.0, 2.0]]])
-    cot = np.full_like(x, 5.0)
-    assert np.allclose(relu_vjp(x, cot), [[[0.0, 0.0, 5.0]]])
-
-
-def test_relu_vjp_matches_finite_differences_away_from_zero():
-    x = rand(70, (2, 4, 4))
-    x[np.abs(x) < 0.05] = 0.2  # keep away from the kink
-    cot = rand(71, x.shape)
-    fd = finite_difference_grad(lambda t: float(np.sum(cot * relu(t))), x, 1e-6)
-    assert np.abs(relu_vjp(x, cot) - fd).max() < 1e-8
+    # a deconv of all-ones taps and zero bias copies each pixel into its 2x2 block,
+    # and the 1x1 projection passes the ReLU's output through as the logits
+    p = init_mask_predictor(CounterRng(72), 1, 1)
+    p.deconv.direction[:], p.deconv.bias[:] = 1.0, 0.0
+    p.proj.direction[:], p.proj.bias[:] = 1.0, 0.0
+    h = np.array([[[-1.0, 0.0, 2.0]]])
+    logits, a = mask_predictor_forward(p, h, keep_tape=True)
+    up = np.repeat(np.repeat([[[0.0, 0.0, 2.0]]], 2, axis=1), 2, axis=2)
+    assert np.array_equal(logits, up) and np.array_equal(a, up)
+    # the tie at h = 0 takes the zero subgradient: that pixel gets no cotangent
+    d_h, _ = mask_predictor_vjp(p, h, a, np.full((1, 2, 6), 5.0))
+    assert np.array_equal(d_h, [[[0.0, 0.0, 20.0]]])
 
 
 def test_grads_mirror_their_record_and_add_in_place():
@@ -346,10 +366,10 @@ def test_finite_difference_grad_matches_composite_vjp():
     u = rand(93, (3, 5, 5))
 
     def f(t):
-        return float(np.sum(u * group_norm(conv2d(t, p1), gn)))
+        return float(np.sum(u * gn_apply(conv2d(t, p1), gn)))
 
     fd = finite_difference_grad(f, x, 1e-5)
-    d_gn = group_norm_vjp(conv2d(x, p1), gn, u)[0]
+    d_gn = gn_vjp(conv2d(x, p1), gn, u)[0]
     analytic = conv2d_vjp(x, p1, d_gn)[0]
     denom = np.abs(analytic).max()
     assert np.abs(fd - analytic).max() / denom < 1e-5
@@ -368,10 +388,28 @@ def test_finite_difference_grad_rejects_nonfinite_f():
 def test_vjp_consistency_suite(op_seed):
     p3 = plain_conv(3, 2, 3, seed=100 + op_seed, weight_norm=op_seed % 2 == 0)
     gn = GroupNormParams(2, rand(110 + op_seed, (4,)) * 0.4 + 1.0, rand(111 + op_seed, (4,)) * 0.2)
+    gn_x = rand(112 + op_seed, (4, 4, 4))
+    predictor = init_mask_predictor(CounterRng(113 + op_seed), 3, 2)
+    block, block_x = contractive_block(114 + op_seed, channels=4), rand(115 + op_seed, (4, 5, 5))
+
+    def gn_affine(theta):  # group norm of gn_x as a function of its (scale, shift) rows
+        return gn_apply(gn_x, GroupNormParams(2, theta[0], theta[1]))
+
+    def gn_affine_vjp(theta, u):
+        grads = gn_vjp(gn_x, GroupNormParams(2, theta[0], theta[1]), u)[1]
+        return np.stack([grads["scale"], grads["shift"]])
+
+    def block_input_vjp(h, u):  # the Jᵀ-apply of every adjoint solve and spectral probe
+        tape = block_forward_tape(block, h, block_x)[1]
+        return block_vjp_from_tape(block, tape, u, want_params=False)[0]
+
     cases = [
         (lambda t: conv2d(t, p3), lambda t, u: conv2d_vjp(t, p3, u)[0], (2, 5, 5)),
-        (lambda t: group_norm(t, gn), lambda t, u: group_norm_vjp(t, gn, u)[0], (4, 4, 4)),
-        (lambda t: relu(t + 0.1), lambda t, u: relu_vjp(t + 0.1, u), (3, 4, 4)),
+        (lambda t: gn_apply(t, gn), lambda t, u: gn_vjp(t, gn, u)[0], (4, 4, 4)),
+        (gn_affine, gn_affine_vjp, (2, 4)),
+        (lambda t: mask_predictor_forward(predictor, t),
+         lambda t, u: predictor_vjp(predictor, t, u)[0], (3, 4, 4)),
+        (lambda t: block_forward_tape(block, t, block_x)[0], block_input_vjp, (4, 5, 5)),
     ]
     for i, (f, f_vjp, shape) in enumerate(cases):
         vjp_inner_check(f, f_vjp, rand(120 + 10 * op_seed + i, shape), 130 + 10 * op_seed + i)
@@ -427,11 +465,11 @@ def test_batched_conv_ops_match_stacked_per_sample_results(k):
 def test_batched_group_norm_and_deconv_match_stacked_per_sample_results():
     x = rand(210, (5, 4, 6, 6))
     gn = GroupNormParams(2, rand(211, (4,)) * 0.4 + 1.0, rand(212, (4,)) * 0.2)
-    out = group_norm(x, gn)
-    assert max_rel(out, np.stack([group_norm(xi, gn) for xi in x])) < 1e-12
+    out = gn_apply(x, gn)
+    assert max_rel(out, np.stack([gn_apply(xi, gn) for xi in x])) < 1e-12
     cot = rand(213, x.shape)
-    dx, grads = group_norm_vjp(x, gn, cot)
-    per = [group_norm_vjp(xi, gn, ci) for xi, ci in zip(x, cot)]
+    dx, grads = gn_vjp(x, gn, cot)
+    per = [gn_vjp(xi, gn, ci) for xi, ci in zip(x, cot)]
     assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
     assert max_rel(grads["scale"], sum(g["scale"] for _, g in per)) < 1e-12
     assert max_rel(grads["shift"], sum(g["shift"] for _, g in per)) < 1e-12

@@ -6,9 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ifr.blocks import DivergenceError
 from ifr.rng import CounterRng
-from ifr.solver import SolverConfig, SolveStatus, broyden_solve, fixed_point_iterate
+from ifr.solver import (
+    DivergenceError,
+    SolverConfig,
+    SolveStatus,
+    broyden_solve,
+    fixed_point_iterate,
+)
 
 from conftest import rand
 
