@@ -366,26 +366,29 @@ def block_vjp_from_tape(
     Every value is read from the tape, parameters from its copy of p.
     Returns (dR, grads); the adjoints w.r.t. h and x both equal dR because
     R = h + x. want_params=False skips every parameter-gradient contraction
-    (the adjoint fixed-point loop only needs dR).
+    (the adjoint fixed-point loop only needs dR). A kernel gradient is read
+    from the cotangent's columns that the conv's input adjoint builds.
     """
     block = tape.block
     conv1_t, conv2_t, shortcut_t = block.transposed
+    w1, w2, shortcut = (block.w1, block.w2, block.shortcut) if want_params else (None,) * 3
     d_c2 = ops.group_norm_input_vjp(tape.xhat2, tape.inv_std2, block.gn2, cotangent)
-    d_g1 = np.where(tape.mask1, conv2_t(d_c2), 0.0)
+    d_a1, w2_g = ops.conv2d_adjoint(
+        conv2_t, d_c2, w2, ops.channel_rows(tape.a1) if want_params else None)
+    d_g1 = np.where(tape.mask1, d_a1, 0.0)
+    del d_a1
     d_c1 = ops.group_norm_input_vjp(tape.xhat1, tape.inv_std1, block.gn1, d_g1)
-    d_r = conv1_t(d_c1)
+    r_rows = ops.channel_rows(tape.r) if want_params else None
+    d_r, w1_g = ops.conv2d_adjoint(conv1_t, d_c1, w1, r_rows)
+    d_s, shortcut_g = cotangent, None
+    if shortcut_t is not None:  # prepared only when the block adds it
+        d_s, shortcut_g = ops.conv2d_adjoint(shortcut_t, cotangent, shortcut, r_rows)
     if block.residual_enabled:
-        d_r = d_r + (cotangent if shortcut_t is None else shortcut_t(cotangent))
+        d_r += d_s
     if not want_params:
         return d_r, None
-    shortcut_g = None
-    if block.shortcut is not None:
-        if block.residual_enabled:
-            shortcut_g = ops.conv2d_param_grads(tape.r, block.shortcut, cotangent)
-        else:
-            shortcut_g = Grads.zeros_like(block.shortcut)
-    w1_g = ops.conv2d_param_grads(tape.r, block.w1, d_c1)
-    w2_g = ops.conv2d_param_grads(tape.a1, block.w2, d_c2)
+    if shortcut is not None and shortcut_g is None:  # a shortcut the block does not add
+        shortcut_g = Grads.zeros_like(shortcut)
     gn1_g = ops.group_norm_param_grads(tape.xhat1, d_g1)
     gn2_g = ops.group_norm_param_grads(tape.xhat2, cotangent)
     parts = _block_parts(w1_g, gn1_g, w2_g, gn2_g, shortcut_g)

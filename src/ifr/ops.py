@@ -6,16 +6,18 @@ case of the same code. A convolution is stride-1 with an odd square kernel
 and zero padding of k // 2, so its output keeps the input's size. It and
 the 2x2 transposed convolution run as one GEMM over the N*H*W columns of
 the batch, so a parameter gradient sums over the batch inside that GEMM;
-group-norm statistics are taken per sample. Every operation here is pure
-and has an exact hand-derived adjoint, so block- and head-level backward
-passes compose without an autodiff tape. A VJP returns the adjoint of its
-input and, for an op with parameters, a `Grads`: the ordered leaf-name ->
-array mapping of the record's `leaf_items()`, summed over the batch.
+a conv's kernel gradient is read from the im2col columns of its output
+cotangent, which its input adjoint builds anyway. Group-norm statistics are
+per sample. Every operation here is pure and has an exact hand-derived
+adjoint, so block- and head-level backward passes compose without an
+autodiff tape. A VJP returns the adjoint of its input and, for an op with
+parameters, a `Grads`: the ordered leaf-name -> array mapping of the
+record's `leaf_items()`, summed over the batch.
 
 `conv2d`, `conv2d_vjp`, `deconv2x2` and `deconv2x2_vjp`, which the mask
 predictor calls, check shapes and finiteness on entry (one check per batch).
 The pieces the block runs after its `_check_operands` check nothing:
-`ConvGemm`, `transposed_conv`, `conv2d_input_vjp`, `conv2d_param_grads`, and
+`ConvGemm`, `transposed_conv`, `conv2d_adjoint`, `kernel_grads`, and
 group norm, `xhat * scale + shift` from `group_stats`, with its adjoint
 halves `group_norm_input_vjp` and `group_norm_param_grads`.
 """
@@ -69,7 +71,7 @@ def as_batch(x: np.ndarray) -> np.ndarray:
     return x.reshape((-1,) + x.shape[-3:])
 
 
-def _channel_rows(x: np.ndarray) -> np.ndarray:
+def channel_rows(x: np.ndarray) -> np.ndarray:
     """(C, N*H*W) GEMM operand: one row per channel, one column per pixel of the batch."""
     return as_batch(x).transpose(1, 0, 2, 3).reshape(x.shape[-3], -1)
 
@@ -246,7 +248,7 @@ def _kernel_size(kernel: np.ndarray) -> int:
 
 
 def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndarray:
-    """Inverse of _channel_rows: (C, N*h*w) GEMM output to a (..., C, h, w) map."""
+    """Inverse of channel_rows: (C, N*h*w) GEMM output to a (..., C, h, w) map."""
     c = rows.shape[0]
     out = rows.reshape(c, -1, h, w).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(out).reshape(lead + (c, h, w))
@@ -281,17 +283,21 @@ class ConvGemm:
     def columns(self, x: np.ndarray) -> np.ndarray:
         """(in*k*k, N*H*W) im2col GEMM operand of x; for a 1x1 kernel, x's channel rows."""
         if self.k == 1:
-            return _channel_rows(x)
+            return channel_rows(x)
         interior, windows = self.padded or self._pad()
         self.padded, self.called = (interior, windows) if self.called else None, True
         interior[...] = as_batch(x)
         return windows.reshape(self.matrix.shape[1], -1)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = self.matrix @ self.columns(x)
+    def gemm(self, columns: np.ndarray) -> np.ndarray:
+        """(out, N*H*W) product of the kernel with im2col columns, plus the bias."""
+        out = self.matrix @ columns
         if self.bias is not None:
             out += self.bias
-        return _from_channel_rows(out, self.lead, self.h, self.w)
+        return out
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return _from_channel_rows(self.gemm(self.columns(x)), self.lead, self.h, self.w)
 
 
 def transposed_conv(kernel: np.ndarray, shape: tuple) -> ConvGemm:
@@ -326,10 +332,32 @@ def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.
     return conv2d_input_vjp(kernel, cotangent), conv2d_param_grads(x, p, cotangent)
 
 
+def conv2d_adjoint(conv_t: ConvGemm, cotangent: np.ndarray, p: ConvParams | None = None,
+                   x_rows: np.ndarray | None = None) -> tuple[np.ndarray, Grads | None]:
+    """(conv_t(cotangent), grads), unchecked, for a conv whose transposed GEMM is conv_t:
+    given p and its input's channel rows, grads are p's kernel_grads from the same
+    columns of the cotangent, else None. The columns go before dx is laid out as maps."""
+    columns = conv_t.columns(cotangent)
+    grads = None if p is None else kernel_grads(p, columns, x_rows, cotangent)
+    rows = conv_t.gemm(columns)
+    del columns
+    return _from_channel_rows(rows, conv_t.lead, conv_t.h, conv_t.w), grads
+
+
 def conv2d_param_grads(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> Grads:
     """Parameter-leaf gradients of conv2d (summed over a batch), unchecked."""
-    cols = ConvGemm(p.direction, None, x.shape).columns(x)
-    d_kernel = (_channel_rows(cotangent) @ cols.T).reshape(p.direction.shape)
+    columns = transposed_conv(p.direction, cotangent.shape).columns(cotangent)
+    return kernel_grads(p, columns, channel_rows(x), cotangent)
+
+
+def kernel_grads(p: ConvParams, columns: np.ndarray, x_rows: np.ndarray,
+                 cotangent: np.ndarray) -> Grads:
+    """Parameter-leaf gradients of a conv from the im2col columns of its cotangent and
+    the channel rows of its input: their GEMM G[(o, a, b), i] = sum over pixels y of
+    d[o, y + (a, b) - k//2] x[i, y] holds dK[o, i, a, b] at G[(o, k-1-a, k-1-b), i]."""
+    out_c, in_c, k, _ = p.direction.shape
+    taps = (columns @ x_rows.T).reshape(out_c, k, k, in_c)
+    d_kernel = np.ascontiguousarray(taps[:, ::-1, ::-1].transpose(0, 3, 1, 2))
     return _kernel_vjp(p, d_kernel, _channel_sum(cotangent))
 
 
@@ -365,7 +393,7 @@ def deconv2x2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     out_shape = _deconv_shapes(x, kernel)
     n = as_batch(x).shape[0]
     h, w = x.shape[-2:]
-    out = (_deconv_taps(kernel) @ _channel_rows(x)).reshape(-1, 2, 2, n, h, w)
+    out = (_deconv_taps(kernel) @ channel_rows(x)).reshape(-1, 2, 2, n, h, w)
     out += p.bias[:, None, None, None, None, None]
     # (o, a, b, n, i, j) -> (n, o, i, a, j, b), i.e. out[n, o, 2i+a, 2j+b]
     return out.transpose(3, 0, 4, 1, 5, 2).reshape(out_shape)
@@ -387,7 +415,7 @@ def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
     cot_taps = (
         cotangent.reshape(n, out_c, h, 2, w, 2).transpose(1, 3, 5, 0, 2, 4).reshape(4 * out_c, -1)
     )
-    d_taps = cot_taps @ _channel_rows(x).T
+    d_taps = cot_taps @ channel_rows(x).T
     d_kernel = np.ascontiguousarray(d_taps.reshape(out_c, 2, 2, in_c).transpose(0, 3, 1, 2))
     dx = _from_channel_rows(_deconv_taps(kernel).T @ cot_taps, x.shape[:-3], h, w)
     return dx, _kernel_vjp(p, d_kernel, _channel_sum(cotangent))

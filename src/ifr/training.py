@@ -109,15 +109,6 @@ class EvalMetrics:
 # loss and schedule
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def bce_mask_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-pixel binary cross-entropy with logits; returns (loss, dLogits).
 
@@ -129,10 +120,13 @@ def bce_mask_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.nda
     if not np.all((target == 0.0) | (target == 1.0)):
         raise ValueError("target entries must be exactly 0 or 1")
     n = int(np.prod(logits.shape[-3:]))
-    # log(1 + e^z) - z t, computed as max(z,0) - z t + log1p(e^-|z|)
-    per_pixel = np.maximum(logits, 0.0) - logits * target + np.log1p(np.exp(-np.abs(logits)))
+    # log(1 + e^z) - z t, computed as max(z,0) - z t + log1p(e^-|z|); the sigmoid
+    # is 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from e = e^-|z|
+    # (-|z| taken as min(z, -z), which keeps the sign of a NaN logit)
+    e = np.exp(np.minimum(logits, -logits))
+    per_pixel = np.maximum(logits, 0.0) - logits * target + np.log1p(e)
     loss = float(per_pixel.sum() / n)
-    grad = (_sigmoid(logits) - target) / n
+    grad = (np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e)) - target) / n
     return loss, grad
 
 

@@ -1,6 +1,7 @@
 """Double-residual block, head strategies, predictor, and parameter counts."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from ifr.blocks import (
     stacked_head_vjp,
     unrolled_shared_vjp,
 )
+from ifr.gradcheck import contractive_block
 from ifr.ops import ConvParams, GroupNormParams, ShapeError, finite_difference_grad
 from ifr.rng import CounterRng
 from ifr.solver import DivergenceError, fixed_point_iterate
@@ -470,6 +472,18 @@ def _ref_input_vjp(kernel, cot):
 
 
 def _ref_param_grads(x, p, cot):
+    """The cotangent's patches against the input's channel rows, read at the flipped tap."""
+    out_c, in_c, k, _ = p.direction.shape
+    patches = _ref_patches(ops.as_batch(cot), k)
+    rows = ops.as_batch(x).transpose(1, 0, 2, 3).reshape(in_c, -1)
+    taps = (patches @ rows.T).reshape(out_c, k, k, in_c)
+    d_kernel = np.ascontiguousarray(taps[:, ::-1, ::-1].transpose(0, 3, 1, 2))
+    return ops._kernel_vjp(p, d_kernel, ops.as_batch(cot).sum(axis=(0, 2, 3)))
+
+
+def _input_patch_param_grads(x, p, cot):
+    """An independent oracle: the cotangent's channel rows against the input's patches,
+    dK[o, i, a, b] = sum over pixels y of d[o, y] x_pad[i, y + (a, b)]."""
     cols = _ref_patches(ops.as_batch(x), p.direction.shape[-1])
     rows = ops.as_batch(cot).transpose(1, 0, 2, 3).reshape(cot.shape[-3], -1)
     d_kernel = (rows @ cols.T).reshape(p.direction.shape)
@@ -492,7 +506,7 @@ def _ref_block_forward(p, h, x):
     return out, (r, xhat1, inv_std1, a1, xhat2, inv_std2, k1, k2, ks)
 
 
-def _ref_block_vjp(p, saved, cot, want_params=True):
+def _ref_block_vjp(p, saved, cot, want_params=True, param_grads=_ref_param_grads):
     r, xhat1, inv_std1, a1, xhat2, inv_std2, k1, k2, ks = saved
     d_c2 = ops.group_norm_input_vjp(xhat2, inv_std2, p.gn2, cot)
     d_g1 = np.where(a1 > 0.0, _ref_input_vjp(k2, d_c2), 0.0)
@@ -504,11 +518,11 @@ def _ref_block_vjp(p, saved, cot, want_params=True):
         return d_r, None
     shortcut_g = None
     if p.shortcut is not None:
-        shortcut_g = (_ref_param_grads(r, p.shortcut, cot) if p.residual_enabled
+        shortcut_g = (param_grads(r, p.shortcut, cot) if p.residual_enabled
                       else ops.Grads.zeros_like(p.shortcut))
     parts = blocks._block_parts(
-        _ref_param_grads(r, p.w1, d_c1), ops.group_norm_param_grads(xhat1, d_g1),
-        _ref_param_grads(a1, p.w2, d_c2), ops.group_norm_param_grads(xhat2, cot), shortcut_g)
+        param_grads(r, p.w1, d_c1), ops.group_norm_param_grads(xhat1, d_g1),
+        param_grads(a1, p.w2, d_c2), ops.group_norm_param_grads(xhat2, cot), shortcut_g)
     return d_r, ops.Grads(ops.nested_leaf_items("", parts))
 
 
@@ -562,6 +576,48 @@ def test_prepared_block_is_bit_identical_to_the_reference(shape, kind, weight_no
         assert same_bytes(d_r, ref_d_r) and same_grads(grads, ref_grads)
 
 
+def assert_matches_the_input_patch_oracle(grads, oracle, from_3x3_kernel):
+    """A leaf that from_3x3_kernel(name) marks agrees within 1e-13 of the largest entry of
+    the whole gradient; every other leaf is the same bytes. (A per-leaf relative error
+    would compare rounding: leaves such as w1.gain sit ahead of a group norm and are near
+    zero.)"""
+    assert list(grads) == list(oracle)
+    scale = max(np.abs(arr).max() for arr in oracle.values())
+    for name, arr in grads.items():
+        if from_3x3_kernel(name):
+            assert np.abs(arr - oracle[name]).max() <= 1e-13 * scale, name
+        else:
+            assert same_bytes(arr, oracle[name]), name
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("shape", [(4, 6, 6), (3, 4, 6, 6)])
+@pytest.mark.parametrize("weight_norm", [True, False])
+def test_conv_kernel_grads_match_the_input_patch_oracle(k, shape, weight_norm):
+    rng = CounterRng(40 + k)
+    p = ConvParams(rng.normal((6, 4, k, k)), rng.uniform((6,)) + 0.5, rng.normal((6,)),
+                   weight_norm)
+    x, cot = rand(41, shape), rand(42, shape[:-3] + (6,) + shape[-2:])
+    assert_matches_the_input_patch_oracle(
+        ops.conv2d_vjp(x, p, cot)[1], _input_patch_param_grads(x, p, cot),
+        lambda name: k == 3 and name != "bias")
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+@pytest.mark.parametrize("shape", [(4, 6, 6), (3, 4, 6, 6)])
+@pytest.mark.parametrize("weight_norm", [True, False])
+def test_block_kernel_grads_match_the_input_patch_oracle(kind, shape, weight_norm):
+    p = random_block(45, kind, weight_norm)
+    h, x, cot = rand(46, shape), rand(47, shape), rand(48, shape)
+    _, saved = _ref_block_forward(p, h, x)
+    _, tape = blocks.block_forward_tape(p, h, x)
+    d_r, grads = blocks.block_vjp_from_tape(p, tape, cot)
+    ref_d_r, oracle = _ref_block_vjp(p, saved, cot, param_grads=_input_patch_param_grads)
+    assert same_bytes(d_r, ref_d_r)
+    assert_matches_the_input_patch_oracle(
+        grads, oracle, lambda name: name[:3] in ("w1.", "w2.") and name[3:] != "bias")
+
+
 def _kept_arrays(obj, seen=None):
     """Every array reachable from obj through attributes, closure cells and sequences."""
     seen = set() if seen is None else seen
@@ -584,7 +640,8 @@ def _kept_arrays(obj, seen=None):
 @pytest.mark.parametrize("kind", list(BLOCK_KINDS))
 @pytest.mark.parametrize("shape", [(4, 6, 6), (3, 4, 6, 6)])
 def test_outputs_share_no_memory_with_what_a_map_or_tape_keeps(kind, shape):
-    """Three calls of each: a conv keeps its padding buffer from its second call on."""
+    """Three calls of each: a conv keeps its padding buffer from its second call on.
+    No two arrays that one with-params VJP returns share memory either."""
     p = random_block(70, kind, weight_norm=True)
     x = rand(71, shape)
     apply = blocks.block_apply_factory(p, x)
@@ -594,7 +651,10 @@ def test_outputs_share_no_memory_with_what_a_map_or_tape_keeps(kind, shape):
         outputs.append(apply(rand(seed, shape)))
         outputs.append(blocks.block_vjp_from_tape(p, tape, rand(seed + 10, shape), False)[0])
         d_r, grads = blocks.block_vjp_from_tape(p, tape, rand(seed + 20, shape))
-        outputs += [d_r, *grads.values()]
+        returned = [d_r, *grads.values()]
+        for i, arr in enumerate(returned):
+            assert not any(np.shares_memory(arr, other) for other in returned[i + 1 :])
+        outputs += returned
         if seed == 73:
             first = [arr.copy() for arr in outputs]
     assert all(same_bytes(arr, copy) for arr, copy in zip(outputs, first))
@@ -602,6 +662,46 @@ def test_outputs_share_no_memory_with_what_a_map_or_tape_keeps(kind, shape):
     assert len(kept) > 10
     for out in outputs:
         assert not any(np.shares_memory(out, arr) for arr in kept)
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+def test_a_block_vjp_builds_one_im2col_per_3x3_conv(kind, monkeypatch):
+    """A kernel gradient reads the columns that its conv's input adjoint builds, and the
+    1x1 shortcut's input adjoint and gradient share the cotangent's channel rows."""
+    p = random_block(76, kind, weight_norm=True)
+    h, x, cot = rand(77, (3, 4, 6, 6)), rand(78, (3, 4, 6, 6)), rand(79, (3, 4, 6, 6))
+    _, tape = blocks.block_forward_tape(p, h, x)
+    built, columns = [], ops.ConvGemm.columns
+    monkeypatch.setattr(ops.ConvGemm, "columns",
+                        lambda conv, t: built.append(conv.k) or columns(conv, t))
+    for want_params in (False, True):
+        built.clear()
+        blocks.block_vjp_from_tape(p, tape, cot, want_params)
+        assert built.count(3) == 2 and built.count(1) == (kind == "conv1x1")
+
+
+# tracemalloc peaks (KB) of the first three VJPs on one tape of the block below, with
+# parameters and input-only, when each kernel gradient windowed its conv's input into a
+# column matrix of its own (882 KB each here); the second call allocates the padding
+# buffers that the transposed convs keep from then on
+PEAKS_KB_WITH_A_SECOND_WINDOWING = {True: (1410.7, 1667.3, 1410.1), False: (1305.2, 1532.2, 1275.3)}
+
+
+@pytest.mark.parametrize("want_params", [True, False])
+def test_a_block_vjp_holds_one_column_matrix_at_a_time(want_params):
+    """Each column matrix is released before the next one is built, and before d_g1 is."""
+    p = contractive_block(5, channels=8)
+    h, x, cot = rand(84, (8, 8, 14, 14)), rand(85, (8, 8, 14, 14)), rand(86, (8, 8, 14, 14))
+    _, tape = blocks.block_forward_tape(p, h, x)
+    for bound_kb in PEAKS_KB_WITH_A_SECOND_WINDOWING[want_params]:
+        tracemalloc.start()
+        try:
+            out = blocks.block_vjp_from_tape(p, tape, cot, want_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del out
+        assert peak <= (bound_kb + 1) * 1024  # 1 KB for Python's own bookkeeping
 
 
 @pytest.mark.parametrize("kind", list(BLOCK_KINDS))

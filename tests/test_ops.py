@@ -1,6 +1,8 @@
 """Primitive op tests. Derived expectations come from the direct-summation
 convolution oracle and central finite differences defined at the top."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,21 @@ def test_vjp_consistency_suite(op_seed):
         tape = block_forward_tape(block, h, block_x)[1]
         return block_vjp_from_tape(block, tape, u, want_params=False)[0]
 
+    # kernel gradients: a 3x3 conv's output as a function of its direction, and the
+    # block's as a function of w1.direction
+    conv_x, block_h = rand(116 + op_seed, (2, 5, 5)), rand(117 + op_seed, (4, 5, 5))
+
+    def with_direction(p, direction):
+        return ConvParams(direction, p.gain, p.bias, p.weight_norm_enabled)
+
+    def block_with_w1(direction):
+        return dataclasses.replace(block, w1=with_direction(block.w1, direction))
+
+    def block_w1_vjp(direction, u):
+        p = block_with_w1(direction)
+        tape = block_forward_tape(p, block_h, block_x)[1]
+        return block_vjp_from_tape(p, tape, u)[1]["w1.direction"]
+
     cases = [
         (lambda t: conv2d(t, p3), lambda t, u: conv2d_vjp(t, p3, u)[0], (2, 5, 5)),
         (lambda t: gn_apply(t, gn), lambda t, u: gn_vjp(t, gn, u)[0], (4, 4, 4)),
@@ -410,6 +427,10 @@ def test_vjp_consistency_suite(op_seed):
         (lambda t: mask_predictor_forward(predictor, t),
          lambda t, u: predictor_vjp(predictor, t, u)[0], (3, 4, 4)),
         (lambda t: block_forward_tape(block, t, block_x)[0], block_input_vjp, (4, 5, 5)),
+        (lambda d: conv2d(conv_x, with_direction(p3, d)),
+         lambda d, u: conv2d_vjp(conv_x, with_direction(p3, d), u)[1]["direction"], (3, 2, 3, 3)),
+        (lambda d: block_forward_tape(block_with_w1(d), block_h, block_x)[0], block_w1_vjp,
+         block.w1.direction.shape),
     ]
     for i, (f, f_vjp, shape) in enumerate(cases):
         vjp_inner_check(f, f_vjp, rand(120 + 10 * op_seed + i, shape), 130 + 10 * op_seed + i)

@@ -54,6 +54,32 @@ def test_bce_gradient_matches_finite_differences():
     assert np.abs(grad - fd).max() < 1e-8
 
 
+def _two_branch_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_bce_gradient_is_the_two_branch_sigmoid_bytes():
+    """One e^-|z| serves the loss and both sigmoid branches, with the same loss and gradient
+    bytes as a sigmoid that exponentiates each branch's logits apart, NaN (of either sign)
+    included."""
+    logits = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.nan, -np.nan,
+                       3.5, -2.25, 40.0, -40.0, 709.9, -745.2, np.inf, -np.inf]).reshape(1, 4, 4)
+    target = (np.arange(16) % 2).astype(np.float64).reshape(1, 4, 4)
+    for z, t in ((logits, target), (rand(3, (2, 1, 5, 5)) * 30, (rand(4, (2, 1, 5, 5)) > 0) * 1.0)):
+        n = np.prod(z.shape[-3:])
+        with np.errstate(invalid="ignore"):  # an infinite logit times a 0 target
+            loss, grad = bce_mask_loss(z, t)
+            per_pixel = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
+            expected = (_two_branch_sigmoid(z) - t) / n
+        assert np.float64(loss).tobytes() == np.float64(per_pixel.sum() / n).tobytes()
+        assert grad.tobytes() == expected.tobytes()
+
+
 def test_bce_rejects_bad_targets_and_shapes():
     with pytest.raises(ValueError):
         bce_mask_loss(np.zeros((1, 2, 2)), np.full((1, 2, 2), 0.5))
