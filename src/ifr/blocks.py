@@ -344,15 +344,21 @@ def _check_operands(p: DoubleResidualParams, h: np.ndarray, x: np.ndarray) -> No
         raise ShapeError(f"input has {x.shape[-3]} channels, block expects {p.channels}")
 
 
+def prepare_block(p: DoubleResidualParams, shape: tuple) -> DoubleResidualParams:
+    """A snapshot of p that nothing updates, prepared for maps of one shape: a
+    copy of p taken now, or p itself if it is such a snapshot already. The
+    block functions below take it in place of p and skip the preparation."""
+    if isinstance(p, _PreparedBlock) and p.shape == shape:
+        return p
+    return _PreparedBlock(p, shape)
+
+
 def block_forward_tape(
     p: DoubleResidualParams, h: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, BlockTape]:
-    """F(h; x) and the tape its VJP reads, prepared from a copy of p taken now
-    (p itself if it is a _PreparedBlock for maps of x's shape)."""
+    """F(h; x) and the tape its VJP reads, on prepare_block(p, x.shape)."""
     _check_operands(p, h, x)
-    if not (isinstance(p, _PreparedBlock) and p.shape == x.shape):
-        p = _PreparedBlock(p, x.shape)
-    return p(h, x, keep_tape=True)
+    return prepare_block(p, x.shape)(h, x, keep_tape=True)
 
 
 def block_vjp_from_tape(
@@ -404,9 +410,9 @@ def double_residual_forward(
 
 
 def block_apply_factory(p: DoubleResidualParams, x: np.ndarray):
-    """h -> F(h; x) on operands prepared once from a copy of p taken now, with no
-    operand checks: the map of solver and long-unroll loops."""
-    prepared = _PreparedBlock(p, x.shape)
+    """h -> F(h; x) on prepare_block(p, x.shape), with no operand checks: the map
+    of solver and long-unroll loops."""
+    prepared = prepare_block(p, x.shape)
     return lambda h: prepared(h, x)
 
 

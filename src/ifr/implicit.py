@@ -9,8 +9,10 @@ With u the upstream cotangent at h*, the adjoint a solves
 
 equivalently a^T (I - J_F) = u^T, the inverse-Jacobian factor of the
 implicit function theorem. The same Broyden machinery solves this linear
-fixed point, after which single VJP calls at (h*, x) yield the parameter
-and input gradients. Only (h*, x, params, upstream) are ever touched.
+fixed point from a = 0, where its residual is u with no J^T apply, after
+which single VJP calls at (h*, x) yield the parameter and input gradients.
+Only (h*, x, params, upstream) are ever touched, params being the snapshot
+of the block that the forward solve ran on.
 
 The backward works on a batch: `stack_records` joins the per-sample records
 into one (N, C, H, W) record (a (C, H, W) record is the batch of one), and
@@ -30,6 +32,7 @@ from .blocks import (
     block_apply_factory,
     block_forward_tape,
     block_vjp_from_tape,
+    prepare_block,
 )
 from .ops import Grads, as_batch
 from .solver import SolverConfig, SolverResult, broyden_solve
@@ -39,8 +42,10 @@ from .solver import SolverConfig, SolverResult, broyden_solve
 class IfrForwardRecord:
     """A solved equilibrium: one (C, H, W) sample, or a stack_records batch.
 
-    params is the caller's live record, not a copy: ifr_backward tapes it, so
-    it must not be updated between ifr_forward and ifr_backward.
+    params is the snapshot of the block that the forward solve ran on
+    (blocks.prepare_block), not the caller's live record. ifr_backward tapes
+    the snapshot, so the caller may update its live record in place between
+    ifr_forward and ifr_backward.
     """
 
     equilibrium: np.ndarray
@@ -61,10 +66,16 @@ class IfrBackwardResult:
 def ifr_forward(
     p: DoubleResidualParams, x: np.ndarray, cfg: SolverConfig
 ) -> IfrForwardRecord:
-    """Solve the refinement equilibrium h = F(h; x) starting from zeros."""
-    apply = block_apply_factory(p, x)
+    """Solve the refinement equilibrium h = F(h; x) starting from zeros.
+
+    p may be a block already prepared for x's shape, which the solve then
+    uses as it is: a caller that solves many samples of one shape prepares
+    the block once.
+    """
+    block = prepare_block(p, x.shape)
+    apply = block_apply_factory(block, x)
     result = broyden_solve(lambda h: apply(h[0])[None] - h, np.zeros((1,) + x.shape), cfg)
-    return IfrForwardRecord(result.root[0], x, result, p)
+    return IfrForwardRecord(result.root[0], x, result, block)
 
 
 def stack_records(recs: list[IfrForwardRecord]) -> IfrForwardRecord:
@@ -91,6 +102,9 @@ def ifr_backward(
     _, tape = block_forward_tape(p, as_batch(rec.equilibrium), as_batch(rec.input))
 
     def adjoint_residual(a: np.ndarray) -> np.ndarray:
+        # affine in a, so it is u at a = 0: the zero start costs no J^T apply
+        if not a.any():
+            return u
         return u + block_vjp_from_tape(p, tape, a, want_params=False)[0] - a
 
     adjoint = broyden_solve(adjoint_residual, np.zeros_like(u), cfg)

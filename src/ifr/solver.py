@@ -2,15 +2,18 @@
 
 The workhorse is a "good Broyden" iteration: the inverse Jacobian estimate
 starts at -I and accumulates rank-one corrections, kept as (u, v) pair
-history so no dense matrix is ever formed. The history holds one pair per
-step of the budget, so no pair is ever evicted. With the -I seed the first
+history so no dense matrix is ever formed. The history holds one pair for
+each step of the budget but the last, whose residual starts no further step,
+so no pair is ever evicted. With the -I seed the first
 step is x1 = x0 + g(x0), i.e. a plain fixed-point step when
 g(h) = F(h) - h. Every solve is of N independent problems stacked on a
 leading axis, each with its own history (one row of an (N, m, d) stack),
 tolerance test, divergence guard, best iterate and SolveStatus, so one
 batched call of the residual map serves them all; a single problem is a
-stack of one. Each step applies the estimate B once and B^T once: B g is
-carried across the rank-one update. A plain fixed-point iterator is the
+stack of one. Each step applies the estimate B once and B^T once. Since a
+step is the full Broyden step dx = -B g, B g is carried across the rank-one
+update, and the update and the next B g are both multiples of B g+: no step
+forms dx or B dg as vectors of their own. A plain fixed-point iterator is the
 package's one untaped unroll loop, the long-horizon oracle the solver is
 tested against.
 """
@@ -135,9 +138,10 @@ def broyden_solve(
 
     # each problem's rank-one history, kept as rows of U and V:
     # B w = -w + U^T (V w). A step that updates any problem fills slot k of
-    # every problem, with a zero pair for the problems that skip it.
-    u_rows = np.zeros((n, cfg.max_iters, x.shape[1]))
-    v_rows = np.zeros_like(u_rows)
+    # every problem, with a zero pair for the problems that skip it. Steps
+    # 1..max_iters-1 can update, and slot k is written before it is read.
+    u_rows = np.empty((n, cfg.max_iters - 1, x.shape[1]))
+    v_rows = np.empty_like(u_rows)
     k = 0
 
     def low_rank(left: np.ndarray, right: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -158,8 +162,7 @@ def broyden_solve(
     # the relative residual at x0 = 0 is |g| / 1e-9, so divergence is
     # measured on the absolute residual
     runaway = [DIVERGENCE_FACTOR * gn for gn in start_norm]
-    # B g is carried from step to step (B+ g = B g + u (v . g) after a
-    # rank-one update), so each step applies B and B^T once
+    # B g is carried from step to step, so each step applies B and B^T once
     b_g = -g
     # a stopped problem is frozen: its rows of g and B g are held at zero, so
     # its step is zero and everything computed from its rows stays finite
@@ -174,8 +177,8 @@ def broyden_solve(
         g_new = g_rows(x_new)
         if frozen:
             g_new[frozen] = 0.0
-        g_norm = np.sqrt(np.vecdot(g_new, g_new)).tolist()
-        x_norm = np.sqrt(np.vecdot(x_new, x_new)).tolist()
+        g_norm = [math.sqrt(s) for s in np.vecdot(g_new, g_new).tolist()]
+        x_norm = [math.sqrt(s) for s in np.vecdot(x_new, x_new).tolist()]
         stopped = []
         for i in live:
             # a norm that overflows counts as non-finite too
@@ -194,40 +197,41 @@ def broyden_solve(
                 stopped.append(i)
             elif best_rel[i] < cfg.rel_tol:
                 stopped.append(i)
-        delta_x = x_new - x
+        live = [i for i in live if i not in stopped]
+        if not live or step == cfg.max_iters:
+            # the last residual starts no further step, so it makes no update
+            break
         delta_g = g_new - g
         x, g = x_new, g_new
         if stopped:
             g[stopped] = 0.0
-            live = [i for i in live if i not in stopped]
             frozen = [i for i in range(n) if i not in live]
-            if not live:
-                break
-        # rank-one inverse-Jacobian correction: B += (dx - B dg) (dx^T B) / (dx^T B dg).
-        # a delta_g at rounding-noise scale carries no secant information and
-        # would put noise-amplified rank-one terms into B, so skip it
+        # good Broyden's update B += (dx - B dg)(dx^T B) / (dx^T B dg), for the
+        # full step dx = -B g: there dx - B dg = -B g+ and dx^T B g = -|dx|^2.
+        # With w = B^T B g = -B^T dx the update is the pair (-B g+ / (w . dg), w),
+        # and it maps g+ to B+ g+ = B g+ (1 - w . g+ / w . dg) = -B g+ |dx|^2 / (w . dg).
+        # A delta_g at rounding-noise scale carries no secant information and
+        # would put noise-amplified rank-one terms into B, so it skips the update.
         b_g_new = low_rank(v_rows, u_rows, g)
-        v = low_rank(u_rows, v_rows, delta_x)
-        denom = np.vecdot(v, delta_g)
-        dg_norm = np.sqrt(np.vecdot(delta_g, delta_g)).tolist()
-        den = denom.tolist()
-        update = [
+        w = low_rank(u_rows, v_rows, b_g)
+        den = np.vecdot(w, delta_g).tolist()
+        dg_norm = [math.sqrt(s) for s in np.vecdot(delta_g, delta_g).tolist()]
+        dx_sq = np.vecdot(b_g, b_g).tolist()
+        update = {
             i for i in live
             if dg_norm[i] > 1e-12 * (g_norm[i] + dg_norm[i]) and abs(den[i]) > 1e-30
-        ]
+        }
         if update:
-            # a problem that skips the update gets a zero pair
-            skip = [i for i in range(n) if i not in update]
-            if skip:
-                denom[skip] = 1.0
-            u = (delta_x - (b_g_new - b_g)) / denom[:, None]
-            if skip:
-                u[skip] = 0.0
-                v[skip] = 0.0
-            u_rows[:, k] = u
-            v_rows[:, k] = v
+            # per problem: the factor that makes u from B g+, and the one that makes B+ g+
+            coef = np.array([(-1.0 / den[i], -dx_sq[i] / den[i]) if i in update else (0.0, 1.0)
+                             for i in range(n)])
+            np.multiply(b_g_new, coef[:, :1], out=u_rows[:, k])
+            v_rows[:, k] = w
+            if len(update) < n:
+                skip = [i for i in range(n) if i not in update]
+                u_rows[skip, k] = v_rows[skip, k] = 0.0
             k += 1
-            b_g_new += np.vecdot(v, g)[:, None] * u
+            b_g_new *= coef[:, 1:]
         if frozen:
             b_g_new[frozen] = 0.0
         b_g = b_g_new

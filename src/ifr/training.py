@@ -3,9 +3,10 @@
 The loop is single threaded and bit-deterministic for a fixed seed: batch
 order comes from a counter-based stream, parameter initialization from split
 substreams, and all arithmetic is float64. Each iteration makes one batched
-(N, C, H, W) forward and backward pass. The implicit strategy solves each
-sample's equilibrium with its own ifr_forward call, then makes one
-ifr_backward call for the batch, whose adjoint is one batched solve; the
+(N, C, H, W) forward and backward pass. The implicit strategy prepares its
+block once per minibatch, solves each sample's equilibrium with its own
+ifr_forward call on that snapshot, then makes one ifr_backward call for the
+batch, whose adjoint is one batched solve; the
 explicit and unrolled strategies backpropagate through their finite
 computation graphs, and every strategy runs the mask predictor once over
 the batch. The head's gradient is an `ops.Grads` keyed like
@@ -253,12 +254,17 @@ def _finite_stack(params: HeadParams, cfg: HeadConfig) -> list:
 def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfig, x,
                     keep_tape: bool = True):
     """Returns (refined, ctx, forward), forward the SolveStats of the per-sample
-    forward solves; a finite head runs none, and its ctx holds its tapes if keep_tape."""
+    forward solves; a finite head runs none, and its ctx holds its tapes if keep_tape.
+
+    The implicit head prepares its block once for all the samples, and each
+    sample's record holds that snapshot."""
     if cfg.strategy != IMPLICIT:
         out = blocks.stacked_head_forward(_finite_stack(params, cfg), x, keep_tape)
         h, tapes = out if keep_tape else (out, None)
         return h, tapes, []
-    rec = stack_records([ifr_forward(params.stages[0], xi, solver_cfg) for xi in as_batch(x)])
+    samples = as_batch(x)
+    block = blocks.prepare_block(params.stages[0], samples.shape[1:])
+    rec = stack_records([ifr_forward(block, xi, solver_cfg) for xi in samples])
     return rec.equilibrium.reshape(x.shape), rec, rec.forward_result.problems
 
 

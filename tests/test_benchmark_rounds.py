@@ -33,9 +33,10 @@ SMALL = dict(TRAIN_ITERS=6, LOG_EVERY=3, TRAIN_COUNT=40, EVAL_COUNT=24, DIAGNOSE
 # rewrite of the block's forward or VJP must keep them visible to its spans.
 # A Jacobian apply serves every spectral-radius probe at once, so diagnose makes
 # 60 per radius: 4 probe steps of the unroll and the end point, 300 in all.
+# grad-check's one adjoint solve runs its 15 steps; its zero start needs no VJP.
 ANALYZE_SPAN_COUNTS = {
     "blocks.block_apply": 1762,
-    "blocks.block_vjp.input_only": 16,
+    "blocks.block_vjp.input_only": 15,
     "diagnostics.jacobian_apply": 300,
 }
 

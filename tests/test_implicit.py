@@ -1,8 +1,11 @@
 """Equilibrium forward/backward: closed forms, oracle agreement, and the
 implicit-function-theorem gradients."""
 
+import copy
 import dataclasses
+import importlib.util
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +249,59 @@ def test_backward_of_a_sample_is_its_batch_of_one_bit_for_bit():
         single.d_params.leaf_items(), batch.d_params.leaf_items()))
     assert single.adjoint_result.problems == batch.adjoint_result.problems
     assert np.array_equal(single.adjoint_result.root, batch.adjoint_result.root)
+
+
+@pytest.mark.parametrize("budget", [1, 4])
+def test_an_adjoint_stack_makes_one_input_vjp_per_step(monkeypatch, budget):
+    # with a tolerance no live problem meets, each of the budget's steps makes
+    # one batched input-only VJP, and the all-zero start makes none; the zero
+    # cotangent's adjoint a = 0 converges at its start beside the live ones
+    p = contractive_block(seed=4326)
+    recs = [ifr_forward(p, rand(70 + i, (8, 6, 6)), TIGHT) for i in range(3)]
+    u = np.stack([rand(73, (8, 6, 6)), np.zeros((8, 6, 6)), rand(74, (8, 6, 6))])
+    calls = []
+    real = implicit.block_vjp_from_tape
+
+    def counting(block, tape, cotangent, want_params=True):
+        calls.append(want_params)
+        return real(block, tape, cotangent, want_params=want_params)
+
+    monkeypatch.setattr(implicit, "block_vjp_from_tape", counting)
+    cfg = SolverConfig(max_iters=budget, rel_tol=1e-300)
+    adjoint = ifr_backward(stack_records(recs), u, cfg).adjoint_result
+    assert calls == [False] * budget + [True]
+    assert [s.iterations_used for s in adjoint.problems] == [budget + 1, 1, budget + 1]
+    assert [s.converged for s in adjoint.problems] == [False, True, False]
+    assert not adjoint.root[1].any()
+
+
+def _load_reference():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_record_keeps_the_block_its_solve_ran_on():
+    # the record holds a snapshot: updating the live block in place between
+    # ifr_forward and ifr_backward changes neither the gradients nor the map
+    # the record gives the benchmark's reference
+    p = contractive_block(seed=4327)
+    x, u = rand(80, (8, 6, 6)), rand(81, (8, 6, 6))
+    cfg = SolverConfig(max_iters=15, rel_tol=1e-10)
+    untouched = ifr_backward(ifr_forward(p, x, cfg), u, cfg)
+    before = copy.deepcopy(p)
+    rec = ifr_forward(p, x, cfg)
+    for _, leaf in p.leaf_items():
+        leaf *= 1.5
+    back = ifr_backward(rec, u, cfg)
+    assert np.array_equal(back.d_x, untouched.d_x)
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(
+        back.d_params.leaf_items(), untouched.d_params.leaf_items()))
+    reference = _load_reference()
+    h = rec.equilibrium
+    solved = reference.block_map(rec.params, x)(h)
+    assert np.abs(solved - reference.block_map(before, x)(h)).max() <= 1e-12
+    assert np.linalg.norm(solved - h) <= cfg.rel_tol * np.linalg.norm(h)
+    assert np.abs(solved - reference.block_map(p, x)(h)).max() > 1e-3

@@ -283,3 +283,69 @@ def test_x0_without_a_problem_axis_is_rejected():
     for x0 in (np.float64(1.0), np.zeros((0, 3))):
         with pytest.raises(ValueError, match="at least one problem"):
             broyden_solve(lambda v: v, x0, SolverConfig())
+
+
+def _dense_good_broyden(residual, x0, cfg: SolverConfig, steps: int):
+    """The iterates of textbook good Broyden with a dense inverse-Jacobian estimate.
+
+    B starts at -I, x+ = x - B g, and B += (dx - B dg)(dx^T B) / (dx^T B dg),
+    with the solver's skip rule. It stops where the solver stops a problem
+    that converges, and after steps steps otherwise.
+    """
+    x, g = x0.copy(), residual(x0)
+    b = -np.eye(x.size)
+    start = np.linalg.norm(g)
+    iterates = [x]
+    for _ in range(steps):
+        x_new = x - b @ g
+        g_new = residual(x_new)
+        iterates.append(x_new)
+        g_norm = np.linalg.norm(g_new)
+        if g_norm / (np.linalg.norm(x_new) + 1e-9) < cfg.rel_tol and g_norm <= start:
+            break
+        dx, dg = x_new - x, g_new - g
+        den = dx @ b @ dg
+        dg_norm = np.linalg.norm(dg)
+        if dg_norm > 1e-12 * (g_norm + dg_norm) and abs(den) > 1e-30:
+            b += np.outer(dx - b @ dg, dx @ b) / den
+        x, g = x_new, g_new
+    return iterates
+
+
+def test_a_stack_takes_the_iterates_of_dense_good_broyden():
+    # a linear residual, a mildly nonlinear one and one that converges at step 2
+    # (h = 0.5 h + 1 in every coordinate), stacked as one solve of ten steps
+    rng = CounterRng(2301)
+    dim = 16
+    a = rng.normal((dim, dim)) * (0.4 / np.sqrt(dim))
+    np.fill_diagonal(a, a.diagonal() - 1.0)
+    c = rng.normal((dim,))
+    m = rng.normal((dim, dim)) / np.sqrt(dim)
+    offset = rng.normal((dim,))
+    maps = [
+        lambda v: a @ v - c,
+        lambda v: 0.6 * np.tanh(m @ v) + offset - v,
+        lambda v: 0.5 * v + 1.0 - v,
+    ]
+    cfg = SolverConfig(max_iters=10, rel_tol=1e-13)
+    x0 = np.stack([rng.normal((dim,)), rng.normal((dim,)), np.zeros(dim)])
+    seen = []
+
+    def stacked(v):
+        seen.append(v.copy())
+        return np.stack([f(row) for f, row in zip(maps, v)])
+
+    res = broyden_solve(stacked, x0, cfg)
+    assert [p.status for p in res.problems] == [
+        SolveStatus.BUDGET, SolveStatus.BUDGET, SolveStatus.CONVERGED]
+    assert len(seen) == cfg.max_iters + 1
+    for i, f in enumerate(maps):
+        oracle = _dense_good_broyden(f, x0[i], cfg, cfg.max_iters)
+        assert len(oracle) == res.problems[i].iterations_used
+        for step, expected in enumerate(oracle):
+            got = seen[step][i]
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        # a stopped problem is frozen at its last iterate
+        for later in seen[len(oracle):]:
+            assert np.array_equal(later[i], seen[len(oracle) - 1][i])
+    assert len(_dense_good_broyden(maps[2], x0[2], cfg, cfg.max_iters)) == 3

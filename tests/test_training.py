@@ -448,3 +448,39 @@ def test_batched_train_is_bit_deterministic(grid_dataset, strategy, depth):
     assert m1 == m2
     for (n1, a1), (n2, a2) in zip(s1.params.leaf_items(), s2.params.leaf_items()):
         assert n1 == n2 and np.array_equal(a1, a2)
+
+
+def test_implicit_head_prepares_its_block_once_per_minibatch_and_eval_chunk(
+        grid_dataset, monkeypatch):
+    state = init_train_state(grid_head(IMPLICIT, 4), grid_train_cfg(), GRID_SOLVER)
+    stage = state.params.stages[0]
+    prepared, records = [], []
+    real_init, real_forward = blocks._PreparedBlock.__init__, training.ifr_forward
+
+    def counting_init(self, p, shape):
+        prepared.append(shape)
+        real_init(self, p, shape)
+
+    def recording_forward(p, x, cfg):
+        records.append(real_forward(p, x, cfg))
+        return records[-1]
+
+    monkeypatch.setattr(blocks._PreparedBlock, "__init__", counting_init)
+    monkeypatch.setattr(training, "ifr_forward", recording_forward)
+    samples = grid_dataset[: training.EVAL_CHUNK + 3]
+    evaluate(state, samples)
+    shape = samples[0].feature.shape
+    assert prepared == [shape, shape]
+    assert len(records) == len(samples)
+    # each record holds the snapshot its solve ran on, shared by its chunk
+    chunks = [records[: training.EVAL_CHUNK], records[training.EVAL_CHUNK:]]
+    for chunk in chunks:
+        assert all(rec.params is chunk[0].params for rec in chunk)
+    assert chunks[0][0].params is not chunks[1][0].params
+    assert all(rec.params is not stage for rec in records)
+
+    prepared.clear()
+    batch = training._stack(samples[:4])
+    training.sample_loss_and_grads(state.params, state.head_cfg, state.solver_cfg, batch)
+    # one snapshot for the forward solves, one for the batch the backward tapes
+    assert prepared == [shape, (4,) + shape]
