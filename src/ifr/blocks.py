@@ -7,7 +7,8 @@ independent per-stage parameters, a weight-shared unroll of N steps, and the
 implicit equilibrium head (see `ifr.implicit`). All backward passes are exact
 compositions of the op-level VJPs in `ifr.ops`. Features carry the optional
 leading batch axis of `ifr.ops`, (N, C, H, W); the parameter gradients of a
-batch are the sums of its samples' gradients. A gradient is an `ops.Grads`
+batch are the sums of its samples' gradients; one snapshot of a block's
+parameters (`prepare_block`) serves every shape. A gradient is an `ops.Grads`
 keyed like its record's `leaf_items()`: a block's by "w1.direction",
 "gn2.shift", ..., a head's by "stage0.w1.direction", "predictor.proj.bias".
 """
@@ -279,23 +280,21 @@ def _copy(record):
 
 
 class _PreparedBlock(DoubleResidualParams):
-    """A copy of a block's parameters that nothing updates, and F(h; x) for maps of
-    one shape on operands prepared once from it: the GEMMs of the effective kernels,
-    the biases, the group-norm affine columns and the transposed GEMMs, which every
-    tape of the block shares: a stack prepares each distinct block once."""
+    """A copy of a block's parameters that nothing updates, and F(h; x) for maps and
+    batches of every shape on operands prepared once from it: the GEMMs of the effective
+    kernels, the biases, the group-norm affine columns and the transposed GEMMs, which
+    every tape of the block shares: a stack prepares each distinct block once."""
 
-    def __init__(self, p: DoubleResidualParams, shape: tuple):
+    def __init__(self, p: DoubleResidualParams):
         parts = (p.w1, p.gn1, p.w2, p.gn2, p.shortcut)
         super().__init__(*(None if part is None else _copy(part) for part in parts),
                          p.residual_enabled)
-        mid_shape = shape[:-3] + (self.w1.out_channels,) + shape[-2:]
-        # conv1, conv2 and the shortcut conv, and their transposes for their outputs' shapes
+        # conv1, conv2 and the shortcut conv, and their transposes
         params = (self.w1, self.w2, self.shortcut if self.residual_enabled else None)
-        self.convs = [None if c is None else ops.ConvGemm(ops.effective_kernel(c), c.bias, s)
-                      for c, s in zip(params, (shape, mid_shape, shape))]
-        self.shape, self.transposed = shape, [
-            None if c is None else ops.transposed_conv(c.kernel, out)
-            for c, out in zip(self.convs, (mid_shape, shape, shape))]
+        self.convs = [None if c is None else ops.ConvGemm(ops.effective_kernel(c), c.bias)
+                      for c in params]
+        self.transposed = [None if c is None else ops.transposed_conv(c.kernel)
+                           for c in self.convs]
         self.affine = [(gn.scale[:, None, None], gn.shift[:, None, None])
                        for gn in (self.gn1, self.gn2)]
 
@@ -306,12 +305,15 @@ class _PreparedBlock(DoubleResidualParams):
         r = h + x
         c1 = conv1(r)
         xhat1, inv_std1 = ops.group_stats(c1, self.gn1)
-        a1 = np.maximum(xhat1 * scale1 + shift1, 0.0)
+        a1 = xhat1 * scale1
+        a1 += shift1
+        np.maximum(a1, 0.0, out=a1)
         c2 = conv2(a1)
         xhat2, inv_std2 = ops.group_stats(c2, self.gn2)
-        out = xhat2 * scale2 + shift2
+        out = xhat2 * scale2
+        out += shift2
         if self.residual_enabled:
-            out = out + (r if shortcut is None else shortcut(r))
+            out += r if shortcut is None else shortcut(r)
         if not keep_tape:
             return out
         return out, BlockTape(self, r, xhat1, inv_std1, a1, a1 > 0.0, xhat2, inv_std2)
@@ -344,21 +346,19 @@ def _check_operands(p: DoubleResidualParams, h: np.ndarray, x: np.ndarray) -> No
         raise ShapeError(f"input has {x.shape[-3]} channels, block expects {p.channels}")
 
 
-def prepare_block(p: DoubleResidualParams, shape: tuple) -> DoubleResidualParams:
-    """A snapshot of p that nothing updates, prepared for maps of one shape: a
-    copy of p taken now, or p itself if it is such a snapshot already. The
-    block functions below take it in place of p and skip the preparation."""
-    if isinstance(p, _PreparedBlock) and p.shape == shape:
-        return p
-    return _PreparedBlock(p, shape)
+def prepare_block(p: DoubleResidualParams) -> DoubleResidualParams:
+    """A snapshot of p that nothing updates, for maps of any shape: a copy of p
+    taken now, or p itself if it is such a snapshot already. The block functions
+    below take it in place of p and skip the preparation."""
+    return p if isinstance(p, _PreparedBlock) else _PreparedBlock(p)
 
 
 def block_forward_tape(
     p: DoubleResidualParams, h: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, BlockTape]:
-    """F(h; x) and the tape its VJP reads, on prepare_block(p, x.shape)."""
+    """F(h; x) and the tape its VJP reads, on prepare_block(p)."""
     _check_operands(p, h, x)
-    return prepare_block(p, x.shape)(h, x, keep_tape=True)
+    return prepare_block(p)(h, x, keep_tape=True)
 
 
 def block_vjp_from_tape(
@@ -374,6 +374,8 @@ def block_vjp_from_tape(
     R = h + x. want_params=False skips every parameter-gradient contraction
     (the adjoint fixed-point loop only needs dR). A kernel gradient is read
     from the cotangent's columns that the conv's input adjoint builds.
+    The ReLU's adjoint multiplies by its mask: a closed entry is +0.0 for a
+    finite cotangent, and stays NaN for a non-finite one.
     """
     block = tape.block
     conv1_t, conv2_t, shortcut_t = block.transposed
@@ -381,8 +383,8 @@ def block_vjp_from_tape(
     d_c2 = ops.group_norm_input_vjp(tape.xhat2, tape.inv_std2, block.gn2, cotangent)
     d_a1, w2_g = ops.conv2d_adjoint(
         conv2_t, d_c2, w2, ops.channel_rows(tape.a1) if want_params else None)
-    d_g1 = np.where(tape.mask1, d_a1, 0.0)
-    del d_a1
+    d_g1 = np.multiply(d_a1, tape.mask1, out=d_a1)
+    d_g1 += 0.0
     d_c1 = ops.group_norm_input_vjp(tape.xhat1, tape.inv_std1, block.gn1, d_g1)
     r_rows = ops.channel_rows(tape.r) if want_params else None
     d_r, w1_g = ops.conv2d_adjoint(conv1_t, d_c1, w1, r_rows)
@@ -406,13 +408,13 @@ def double_residual_forward(
 ) -> np.ndarray:
     """One application of the transformation F(h; x)."""
     _check_operands(p, h, x)
-    return _PreparedBlock(p, x.shape)(h, x)
+    return prepare_block(p)(h, x)
 
 
 def block_apply_factory(p: DoubleResidualParams, x: np.ndarray):
-    """h -> F(h; x) on prepare_block(p, x.shape), with no operand checks: the map
-    of solver and long-unroll loops."""
-    prepared = prepare_block(p, x.shape)
+    """h -> F(h; x) on prepare_block(p), with no operand checks: the map of solver
+    and long-unroll loops."""
+    prepared = prepare_block(p)
     return lambda h: prepared(h, x)
 
 
@@ -426,14 +428,15 @@ def stacked_head_forward(
     """The blocks in order from h0 = 0: h, or (h, per-step tapes) if keep_tape.
 
     The weight-shared unroll is the stack with one block repeated; each
-    distinct block is prepared once. An empty stack is the 0-stage baseline
-    and passes (a copy of) x through unchanged.
+    distinct block is prepared once, and a snapshot (prepare_block) is used as
+    it is. An empty stack is the 0-stage baseline and passes (a copy of) x
+    through unchanged.
     """
     h, tapes, prepared = np.zeros_like(x) if params else x.copy(), [], {}
     for i, p in enumerate(params):
         if id(p) not in prepared:
             _check_operands(p, h, x)
-            prepared[id(p)] = _PreparedBlock(p, x.shape)
+            prepared[id(p)] = prepare_block(p)
         if keep_tape:
             h, tape = block_forward_tape(prepared[id(p)], h, x)
             tapes.append(tape)
@@ -496,10 +499,13 @@ def mask_predictor_forward(p: MaskPredictorParams, h: np.ndarray, keep_tape: boo
 def mask_predictor_vjp(
     p: MaskPredictorParams, h: np.ndarray, a: np.ndarray, cotangent: np.ndarray
 ) -> tuple[np.ndarray, Grads]:
-    """Adjoints w.r.t. h and the predictor's leaves, given the forward's tape a."""
+    """Adjoints w.r.t. h and the predictor's leaves, given the forward's tape a. The
+    ReLU's adjoint multiplies by its mask: a closed entry is +0.0 for a finite
+    cotangent, and stays NaN for a non-finite one."""
     d_a, proj_g = ops.conv2d_vjp(a, p.proj, cotangent)
     # a > 0 exactly where the deconv output is, so a masks like the ReLU's input
-    d_d = np.where(a > 0.0, d_a, 0.0)
+    d_d = np.multiply(d_a, a > 0.0, out=d_a)
+    d_d += 0.0
     d_h, deconv_g = ops.deconv2x2_vjp(h, p.deconv, d_d)
     return d_h, Grads(ops.nested_leaf_items("", _predictor_parts(deconv_g, proj_g)))
 

@@ -12,7 +12,8 @@ implicit function theorem. The same Broyden machinery solves this linear
 fixed point from a = 0, where its residual is u with no J^T apply, after
 which single VJP calls at (h*, x) yield the parameter and input gradients.
 Only (h*, x, params, upstream) are ever touched, params being the snapshot
-of the block that the forward solve ran on.
+of the block that the forward solve ran on (blocks.prepare_block): the
+backward tapes that same snapshot, at the batch's shape.
 
 The backward works on a batch: `stack_records` joins the per-sample records
 into one (N, C, H, W) record (a (C, H, W) record is the batch of one), and
@@ -68,11 +69,11 @@ def ifr_forward(
 ) -> IfrForwardRecord:
     """Solve the refinement equilibrium h = F(h; x) starting from zeros.
 
-    p may be a block already prepared for x's shape, which the solve then
-    uses as it is: a caller that solves many samples of one shape prepares
-    the block once.
+    p may be a snapshot (blocks.prepare_block), which the solve then uses as
+    it is: a caller that solves many samples prepares the block once, and
+    ifr_backward tapes the same snapshot.
     """
-    block = prepare_block(p, x.shape)
+    block = prepare_block(p)
     apply = block_apply_factory(block, x)
     result = broyden_solve(lambda h: apply(h[0])[None] - h, np.zeros((1,) + x.shape), cfg)
     return IfrForwardRecord(result.root[0], x, result, block)

@@ -5,12 +5,12 @@ with an optional leading batch axis: (N, C, H, W). A 3-D map is the N = 1
 case of the same code. A convolution is stride-1 with an odd square kernel
 and zero padding of k // 2, so its output keeps the input's size. It and
 the 2x2 transposed convolution run as one GEMM over the N*H*W columns of
-the batch, so a parameter gradient sums over the batch inside that GEMM;
-a conv's kernel gradient is read from the im2col columns of its output
-cotangent, which its input adjoint builds anyway. Group-norm statistics are
-per sample. Every operation here is pure and has an exact hand-derived
-adjoint, so block- and head-level backward passes compose without an
-autodiff tape. A VJP returns the adjoint of its input and, for an op with
+the batch, so a parameter gradient sums over the batch inside that GEMM; a
+conv is prepared once (`ConvGemm`) for inputs of any shape, and its kernel
+gradient is read from the im2col columns of its output cotangent, which
+its input adjoint builds anyway. Group-norm statistics are per sample.
+Every operation here is pure and has an exact hand-derived adjoint, so
+block- and head-level backward passes compose without an autodiff tape. A VJP returns the adjoint of its input and, for an op with
 parameters, a `Grads`: the ordered leaf-name -> array mapping of the
 record's `leaf_items()`, summed over the batch.
 
@@ -255,56 +255,58 @@ def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndar
 
 
 class ConvGemm:
-    """Cross-correlation of maps of one shape with a raw kernel (out, in, k, k) and
-    bias (out,) or None, both kept, not copied; no operand is checked but the kernel's
-    shape. Each call is one GEMM over the batch's N*H*W columns and returns a new array.
+    """Cross-correlation with a raw kernel (out, in, k, k) and bias (out,) or None,
+    both kept, not copied; no operand is checked but the kernel's shape. Each call
+    reads N, H and W from its input, is one GEMM over its N*H*W columns and returns
+    a new array.
 
-    A k x k kernel pads into a zero-bordered buffer, and from its second call on
-    keeps one whose interior each call overwrites: a conv used once holds none.
-    A 1x1 kernel's GEMM runs on the channel rows, with no pad and no window.
+    A k x k kernel pads into a zero-bordered buffer; from the second call on an
+    input shape it keeps one for that shape and overwrites its interior. A 1x1
+    kernel's GEMM runs on the channel rows, with no pad and no window.
     """
 
-    def __init__(self, kernel: np.ndarray, bias: np.ndarray | None, shape: tuple):
+    def __init__(self, kernel: np.ndarray, bias: np.ndarray | None):
         self.kernel, self.matrix = kernel, kernel.reshape(kernel.shape[0], -1)
         self.bias = None if bias is None else bias[:, None]
-        self.lead, self.h, self.w = shape[:-3], shape[-2], shape[-1]
-        self.k, self.padded, self.called = _kernel_size(kernel), None, False
+        # input shape -> (interior, windows) of its kept pad, None while seen once
+        self.k, self.pads = _kernel_size(kernel), {}
 
-    def _pad(self):
+    def _pad(self, shape: tuple):
         """A zeroed buffer's interior, and its (in, k, k, N, H, W) im2col window view."""
-        n, c, k, p = math.prod(self.lead), self.kernel.shape[1], self.k, self.k // 2
-        buffer = np.zeros((n, c, self.h + 2 * p, self.w + 2 * p))
+        n, (c, h, w), k, p = math.prod(shape[:-3]), shape[-3:], self.k, self.k // 2
+        buffer = np.zeros((n, c, h + 2 * p, w + 2 * p))
         sn, sc, sh, sw = buffer.strides
         # a window view straight on the buffer: as_strided costs more than a small GEMM
-        windows = np.ndarray((c, k, k, n, self.h, self.w), np.float64, buffer, 0,
+        windows = np.ndarray((c, k, k, n, h, w), np.float64, buffer, 0,
                              (sc, sh, sw, sn, sh, sw))
-        return buffer[:, :, p : p + self.h, p : p + self.w], windows
+        return buffer[:, :, p : p + h, p : p + w], windows
 
     def columns(self, x: np.ndarray) -> np.ndarray:
         """(in*k*k, N*H*W) im2col GEMM operand of x; for a 1x1 kernel, x's channel rows."""
         if self.k == 1:
             return channel_rows(x)
-        interior, windows = self.padded or self._pad()
-        self.padded, self.called = (interior, windows) if self.called else None, True
+        interior, windows = self.pads.get(x.shape) or self._pad(x.shape)
+        self.pads[x.shape] = (interior, windows) if x.shape in self.pads else None
         interior[...] = as_batch(x)
         return windows.reshape(self.matrix.shape[1], -1)
 
     def gemm(self, columns: np.ndarray) -> np.ndarray:
-        """(out, N*H*W) product of the kernel with im2col columns, plus the bias."""
-        out = self.matrix @ columns
+        """(out, N*H*W) product of the kernel with im2col columns, plus the bias.
+        A one-column kernel is an outer product, each entry one exact multiply."""
+        out = self.matrix * columns if self.matrix.shape[1] == 1 else self.matrix @ columns
         if self.bias is not None:
             out += self.bias
         return out
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _from_channel_rows(self.gemm(self.columns(x)), self.lead, self.h, self.w)
+        return _from_channel_rows(self.gemm(self.columns(x)), x.shape[:-3], *x.shape[-2:])
 
 
-def transposed_conv(kernel: np.ndarray, shape: tuple) -> ConvGemm:
-    """Input adjoint of a conv, for cotangents of `shape`: itself a correlation,
-    with (a copy of) the spatially flipped, channel-transposed kernel."""
+def transposed_conv(kernel: np.ndarray) -> ConvGemm:
+    """Input adjoint of a conv: itself a correlation, with (a copy of) the spatially
+    flipped, channel-transposed kernel."""
     flipped = np.ascontiguousarray(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return ConvGemm(flipped, None, shape)
+    return ConvGemm(flipped, None)
 
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -312,7 +314,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     x = check_maps(x, "conv2d input")
     if x.shape[-3] != p.in_channels:
         raise ShapeError(f"input has {x.shape[-3]} channels, kernel expects {p.in_channels}")
-    return ConvGemm(effective_kernel(p), p.bias, x.shape)(x)
+    return ConvGemm(effective_kernel(p), p.bias)(x)
 
 
 def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.ndarray, Grads]:
@@ -341,12 +343,12 @@ def conv2d_adjoint(conv_t: ConvGemm, cotangent: np.ndarray, p: ConvParams | None
     grads = None if p is None else kernel_grads(p, columns, x_rows, cotangent)
     rows = conv_t.gemm(columns)
     del columns
-    return _from_channel_rows(rows, conv_t.lead, conv_t.h, conv_t.w), grads
+    return _from_channel_rows(rows, cotangent.shape[:-3], *cotangent.shape[-2:]), grads
 
 
 def conv2d_param_grads(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> Grads:
     """Parameter-leaf gradients of conv2d (summed over a batch), unchecked."""
-    columns = transposed_conv(p.direction, cotangent.shape).columns(cotangent)
+    columns = transposed_conv(p.direction).columns(cotangent)
     return kernel_grads(p, columns, channel_rows(x), cotangent)
 
 
@@ -363,7 +365,7 @@ def kernel_grads(p: ConvParams, columns: np.ndarray, x_rows: np.ndarray,
 
 def conv2d_input_vjp(kernel: np.ndarray, cotangent: np.ndarray) -> np.ndarray:
     """Adjoint of conv2d w.r.t. the input only (no parameter gradients)."""
-    return transposed_conv(kernel, cotangent.shape)(cotangent)
+    return transposed_conv(kernel)(cotangent)
 
 
 def _deconv_taps(kernel: np.ndarray) -> np.ndarray:
@@ -385,18 +387,20 @@ def deconv2x2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Transposed convolution, 2x2 kernel, stride 2: doubles spatial extent.
 
     With stride equal to the kernel size the output blocks do not overlap:
-    out[o, 2i+a, 2j+b] = sum_c k[o, c, a, b] * x[c, i, j] + bias[o], one GEMM
-    of the (o, a, b) taps against the batch's pixels.
+    out[o, 2i+a, 2j+b] = sum_c k[o, c, a, b] * x[c, i, j] + bias[o], one
+    GEMM of the (o, a, b) taps against the batch's pixels, each (a, b) tap
+    then written into its strided slice of the output.
     """
     x = check_maps(x, "deconv2x2 input")
     kernel = effective_kernel(p)
     out_shape = _deconv_shapes(x, kernel)
-    n = as_batch(x).shape[0]
-    h, w = x.shape[-2:]
-    out = (_deconv_taps(kernel) @ channel_rows(x)).reshape(-1, 2, 2, n, h, w)
-    out += p.bias[:, None, None, None, None, None]
-    # (o, a, b, n, i, j) -> (n, o, i, a, j, b), i.e. out[n, o, 2i+a, 2j+b]
-    return out.transpose(3, 0, 4, 1, 5, 2).reshape(out_shape)
+    (n, _, h, w), out_c = as_batch(x).shape, kernel.shape[0]
+    rows = (_deconv_taps(kernel) @ channel_rows(x)).reshape(out_c, 2, 2, n, h, w)
+    rows += p.bias[:, None, None, None, None, None]
+    out = np.empty((n, out_c, h, 2, w, 2))  # out[n, o, i, a, j, b] is out[n, o, 2i+a, 2j+b]
+    for a, b in np.ndindex(2, 2):
+        out[:, :, :, a, :, b] = rows[:, a, b].transpose(1, 0, 2, 3)
+    return out.reshape(out_shape)
 
 
 def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):

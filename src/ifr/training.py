@@ -6,12 +6,13 @@ substreams, and all arithmetic is float64. Each iteration makes one batched
 (N, C, H, W) forward and backward pass. The implicit strategy prepares its
 block once per minibatch, solves each sample's equilibrium with its own
 ifr_forward call on that snapshot, then makes one ifr_backward call for the
-batch, whose adjoint is one batched solve; the
-explicit and unrolled strategies backpropagate through their finite
+batch, which tapes the same snapshot and whose adjoint is one batched solve;
+the explicit and unrolled strategies backpropagate through their finite
 computation graphs, and every strategy runs the mask predictor once over
-the batch. The head's gradient is an `ops.Grads` keyed like
-`HeadParams.leaf_items()`, so SGD, clipping and the finite check walk
-parameters and gradients leaf by leaf in the same order.
+the batch. `evaluate` prepares each stage once per call. The head's
+gradient is an `ops.Grads` keyed like `HeadParams.leaf_items()`, so SGD,
+clipping and the finite check walk parameters and gradients leaf by leaf in
+the same order.
 """
 
 from __future__ import annotations
@@ -256,14 +257,14 @@ def _refine_forward(params: HeadParams, cfg: HeadConfig, solver_cfg: SolverConfi
     """Returns (refined, ctx, forward), forward the SolveStats of the per-sample
     forward solves; a finite head runs none, and its ctx holds its tapes if keep_tape.
 
-    The implicit head prepares its block once for all the samples, and each
-    sample's record holds that snapshot."""
+    The implicit head prepares its block once for all the samples (a snapshot
+    in params is used as it is), and each sample's record holds that snapshot."""
     if cfg.strategy != IMPLICIT:
         out = blocks.stacked_head_forward(_finite_stack(params, cfg), x, keep_tape)
         h, tapes = out if keep_tape else (out, None)
         return h, tapes, []
     samples = as_batch(x)
-    block = blocks.prepare_block(params.stages[0], samples.shape[1:])
+    block = blocks.prepare_block(params.stages[0])
     rec = stack_records([ifr_forward(block, xi, solver_cfg) for xi in samples])
     return rec.equilibrium.reshape(x.shape), rec, rec.forward_result.problems
 
@@ -320,15 +321,18 @@ def init_train_state(
 
 
 def evaluate(state: TrainState, dataset: list[Sample]) -> EvalMetrics:
-    """Mean mask IoU at threshold 0.5 (logits > 0) and mean loss; no pass keeps a tape."""
+    """Mean mask IoU at threshold 0.5 (logits > 0) and mean loss; no pass keeps a tape.
+    Each stage is prepared once per call, and every chunk runs on those snapshots."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
+    params = HeadParams([blocks.prepare_block(stage) for stage in state.params.stages],
+                        state.params.predictor)
     iou_total = loss_total = 0.0
     for start in range(0, len(dataset), EVAL_CHUNK):
         chunk = _stack(dataset[start : start + EVAL_CHUNK])
-        h, _, _ = _refine_forward(state.params, state.head_cfg, state.solver_cfg,
+        h, _, _ = _refine_forward(params, state.head_cfg, state.solver_cfg,
                                   chunk.feature, keep_tape=False)
-        logits = blocks.mask_predictor_forward(state.params.predictor, h)
+        logits = blocks.mask_predictor_forward(params.predictor, h)
         for sample_logits, mask in zip(logits, chunk.mask):
             loss, _ = bce_mask_loss(sample_logits, mask)
             loss_total += loss

@@ -619,7 +619,8 @@ def test_block_kernel_grads_match_the_input_patch_oracle(kind, shape, weight_nor
 
 
 def _kept_arrays(obj, seen=None):
-    """Every array reachable from obj through attributes, closure cells and sequences."""
+    """Every array reachable from obj through attributes, closure cells, sequences and
+    dict values."""
     seen = set() if seen is None else seen
     if id(obj) in seen:
         return []
@@ -628,6 +629,8 @@ def _kept_arrays(obj, seen=None):
         return [obj]
     if isinstance(obj, (list, tuple)):
         children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
     elif getattr(obj, "__closure__", None):
         children = [cell.cell_contents for cell in obj.__closure__]
     elif hasattr(obj, "__dict__"):
@@ -662,6 +665,34 @@ def test_outputs_share_no_memory_with_what_a_map_or_tape_keeps(kind, shape):
     assert len(kept) > 10
     for out in outputs:
         assert not any(np.shares_memory(out, arr) for arr in kept)
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+def test_one_snapshot_serves_maps_and_batches_of_any_shape(kind, monkeypatch):
+    """A snapshot run at (C, H, W), then (N, C, H, W), then (C, H, W) again gives the
+    bytes of a fresh snapshot for each shape, and each 3x3 conv allocates at most two
+    pad buffers per input shape: one at its first call, the one it keeps at its second."""
+    p = random_block(97, kind, weight_norm=True)
+    snapshot = blocks.prepare_block(p)
+    assert blocks.prepare_block(snapshot) is snapshot
+    pads, real_pad = [], ops.ConvGemm._pad
+    monkeypatch.setattr(ops.ConvGemm, "_pad",
+                        lambda conv, shape: pads.append((id(conv), shape)) or real_pad(conv, shape))
+    for i, shape in enumerate([(4, 6, 6), (3, 4, 6, 6), (4, 6, 6)]):
+        h, x, cot = rand(98 + i, shape), rand(101 + i, shape), rand(104 + i, shape)
+        fresh = blocks.prepare_block(p)
+        for block in (snapshot, fresh):
+            out, tape = blocks.block_forward_tape(block, h, x)
+            results = [out, blocks.block_apply_factory(block, x)(h),
+                       blocks.block_vjp_from_tape(block, tape, cot, want_params=False)[0]]
+            d_r, grads = blocks.block_vjp_from_tape(block, tape, cot)
+            results += [d_r, *grads.values()]
+            if block is snapshot:
+                expected = results
+        assert all(same_bytes(a, b) for a, b in zip(expected, results))
+    convs = {id(conv) for conv in snapshot.convs + snapshot.transposed if conv is not None}
+    counts = [pads.count(pad) for pad in set(pads) if pad[0] in convs]
+    assert counts and max(counts) == 2
 
 
 @pytest.mark.parametrize("kind", list(BLOCK_KINDS))

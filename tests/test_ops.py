@@ -34,7 +34,7 @@ from ifr.ops import (
 from ifr.rng import CounterRng
 
 from conftest import max_rel, rand
-from test_blocks import predictor_vjp
+from test_blocks import predictor_vjp, random_block, same_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +331,80 @@ def test_deconv2x2_matches_direct_summation_and_doubles_extent():
     out = deconv2x2(x, p)
     assert out.shape == (3, 10, 10)
     assert np.allclose(out, naive_deconv2x2(x, p.direction, p.bias), atol=1e-12)
+
+
+def gemm_deconv2x2(x, p):
+    """The deconv as one GEMM of every (o, a, b) tap against the batch's pixels,
+    scattered into place by one 6-D transpose."""
+    kernel = effective_kernel(p)
+    out_c, in_c = kernel.shape[:2]
+    n, (h, w) = ops.as_batch(x).shape[0], x.shape[-2:]
+    taps = kernel.transpose(0, 2, 3, 1).reshape(-1, in_c)
+    out = (taps @ ops.channel_rows(x)).reshape(out_c, 2, 2, n, h, w)
+    out += p.bias[:, None, None, None, None, None]
+    return out.transpose(3, 0, 4, 1, 5, 2).reshape(x.shape[:-3] + (out_c, 2 * h, 2 * w))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("in_c,out_c", [(1, 1), (4, 1), (8, 1), (1, 8), (4, 8), (8, 8),
+                                        (256, 256)])
+def test_deconv2x2_tap_writes_give_the_bytes_of_one_transpose(n, in_c, out_c):
+    p = plain_conv(out_c, in_c, 2, seed=86 + out_c, weight_norm=True)
+    x = rand(87 + in_c, (n, in_c, 14, 14))
+    assert same_bytes(deconv2x2(x, p), gemm_deconv2x2(x, p))
+    assert same_bytes(deconv2x2(x[0], p), gemm_deconv2x2(x[0], p))
+
+
+@pytest.mark.parametrize("out_c", [1, 8])
+@pytest.mark.parametrize("shape", [(1, 5, 7), (3, 1, 5, 7)])
+def test_a_one_column_conv_gemm_gives_the_bytes_of_an_outer_product(out_c, shape):
+    kernel, bias, x = rand(88, (out_c, 1, 1, 1)), rand(89, (out_c,)), rand(90, shape)
+    rows = np.outer(kernel.ravel(), ops.channel_rows(x).ravel())
+    assert same_bytes(ops.ConvGemm(kernel, None).gemm(ops.channel_rows(x)), rows)
+    out = ops.ConvGemm(kernel, bias)(x)
+    expected = (rows + bias[:, None]).reshape(out_c, -1, 5, 7).transpose(1, 0, 2, 3)
+    assert same_bytes(out, np.ascontiguousarray(expected).reshape(out.shape))
+
+
+def test_relu_adjoints_pass_nothing_at_a_tie_and_close_with_positive_zero(monkeypatch):
+    """The block's and the predictor's ReLU adjoints give the bytes of
+    np.where(mask, d, 0.0): no cotangent at a tie, and +0.0 at every closed entry."""
+    seen = {}
+
+    def spy(name, record_out=False):
+        real = getattr(ops, name)
+
+        def wrapper(*args):
+            out = real(*args)
+            seen.setdefault(name, []).append((out[0].copy(),) if record_out else args)
+            return out
+
+        monkeypatch.setattr(ops, name, wrapper)
+
+    # block: gn1 zeroes channels 0 and 1, so a1 ties at 0 there
+    p = random_block(91, "conv1x1", weight_norm=True)
+    p.gn1.scale[:2], p.gn1.shift[:2] = 0.0, 0.0
+    h, x, cot = rand(92, (2, 4, 6, 6)), rand(93, (2, 4, 6, 6)), rand(94, (2, 4, 6, 6))
+    _, tape = block_forward_tape(p, h, x)
+    assert not tape.a1[:, :2].any() and not tape.mask1[:, :2].any()
+    spy("conv2d_adjoint", record_out=True)
+    spy("group_norm_input_vjp")
+    block_vjp_from_tape(p, tape, cot)
+    d_a1 = seen["conv2d_adjoint"][0][0]
+    d_g1 = seen["group_norm_input_vjp"][1][3]
+    # predictor: all-ones taps copy h into 2x2 blocks, so a ties at 0 where h is 0
+    q = init_mask_predictor(CounterRng(95), 1, 1)
+    q.deconv.direction[:], q.deconv.bias[:] = 1.0, 0.0
+    h = np.array([[[-1.0, 0.0, 2.0, 0.0, -3.0]]])
+    _, a = mask_predictor_forward(q, h, keep_tape=True)
+    spy("conv2d_vjp", record_out=True)
+    spy("deconv2x2_vjp")
+    mask_predictor_vjp(q, h, a, rand(96, (1, 2, 10)))
+    d_a, d_d = seen["conv2d_vjp"][0][0], seen["deconv2x2_vjp"][0][2]
+    for mask, d, masked in ((tape.mask1, d_a1, d_g1), (a > 0.0, d_a, d_d)):
+        assert (d[~mask] < 0.0).any() and (d[mask] != 0.0).all()
+        assert same_bytes(masked, np.where(mask, d, 0.0))
+        assert not np.signbit(masked[~mask]).any()
 
 
 def test_deconv2x2_vjp_consistency():

@@ -450,37 +450,49 @@ def test_batched_train_is_bit_deterministic(grid_dataset, strategy, depth):
         assert n1 == n2 and np.array_equal(a1, a2)
 
 
+def counting_prepares(monkeypatch) -> list:
+    """The records that each _PreparedBlock made from here on copied, in order."""
+    prepared, real_init = [], blocks._PreparedBlock.__init__
+
+    def counting_init(self, p):
+        prepared.append(p)
+        real_init(self, p)
+
+    monkeypatch.setattr(blocks._PreparedBlock, "__init__", counting_init)
+    return prepared
+
+
 def test_implicit_head_prepares_its_block_once_per_minibatch_and_eval_chunk(
         grid_dataset, monkeypatch):
+    """One snapshot per evaluate call, whatever its chunks, and one per training step."""
     state = init_train_state(grid_head(IMPLICIT, 4), grid_train_cfg(), GRID_SOLVER)
     stage = state.params.stages[0]
-    prepared, records = [], []
-    real_init, real_forward = blocks._PreparedBlock.__init__, training.ifr_forward
-
-    def counting_init(self, p, shape):
-        prepared.append(shape)
-        real_init(self, p, shape)
+    prepared, records, real_forward = counting_prepares(monkeypatch), [], training.ifr_forward
 
     def recording_forward(p, x, cfg):
         records.append(real_forward(p, x, cfg))
         return records[-1]
 
-    monkeypatch.setattr(blocks._PreparedBlock, "__init__", counting_init)
     monkeypatch.setattr(training, "ifr_forward", recording_forward)
     samples = grid_dataset[: training.EVAL_CHUNK + 3]
     evaluate(state, samples)
-    shape = samples[0].feature.shape
-    assert prepared == [shape, shape]
+    assert len(prepared) == 1 and prepared[0] is stage
     assert len(records) == len(samples)
-    # each record holds the snapshot its solve ran on, shared by its chunk
-    chunks = [records[: training.EVAL_CHUNK], records[training.EVAL_CHUNK:]]
-    for chunk in chunks:
-        assert all(rec.params is chunk[0].params for rec in chunk)
-    assert chunks[0][0].params is not chunks[1][0].params
-    assert all(rec.params is not stage for rec in records)
+    # every record, the short last chunk's too, holds the one snapshot the call ran on
+    assert all(rec.params is records[0].params for rec in records)
+    assert records[0].params is not stage
 
     prepared.clear()
     batch = training._stack(samples[:4])
     training.sample_loss_and_grads(state.params, state.head_cfg, state.solver_cfg, batch)
-    # one snapshot for the forward solves, one for the batch the backward tapes
-    assert prepared == [shape, (4,) + shape]
+    # the forward solves and the batch the backward tapes share one snapshot
+    assert len(prepared) == 1 and prepared[0] is stage
+
+
+@pytest.mark.parametrize("count", [3, 2 * training.EVAL_CHUNK + 3])
+def test_evaluate_prepares_each_stage_of_an_explicit_head_once_per_call(
+        grid_dataset, monkeypatch, count):
+    state = init_train_state(grid_head(EXPLICIT, 4), grid_train_cfg(), GRID_SOLVER)
+    prepared = counting_prepares(monkeypatch)
+    evaluate(state, grid_dataset[:count])
+    assert list(map(id, prepared)) == list(map(id, state.params.stages))
