@@ -189,8 +189,8 @@ def _load_dataset(cfg: ExperimentConfig, out_dir) -> list:
 
 
 def _check_dataset_fits(dataset: list, head: HeadConfig) -> None:
-    """A ConfigError unless the dataset has samples, each a (head.channels, H, W)
-    feature and a (head.predictor_classes, 2H, 2W) mask."""
+    """A ConfigError unless the dataset has samples, each a finite (head.channels, H, W)
+    feature and a 0/1 (head.predictor_classes, 2H, 2W) mask."""
     if not dataset:
         raise ConfigError("dataset has no samples")
     for feature, mask in {(s.feature.shape, s.mask.shape) for s in dataset}:
@@ -201,6 +201,10 @@ def _check_dataset_fits(dataset: list, head: HeadConfig) -> None:
                               ("mask classes", mask[0], "predictor_classes")):
             if n != getattr(head, name):
                 raise ConfigError(f"dataset {what} {n} != head.{name} {getattr(head, name)}")
+    if not all(np.isfinite(s.feature).all() for s in dataset):
+        raise ConfigError("dataset features contain non-finite values")
+    if not all(((s.mask == 0.0) | (s.mask == 1.0)).all() for s in dataset):
+        raise ConfigError("dataset mask entries must be exactly 0 or 1")
 
 
 def cmd_train(args) -> int:

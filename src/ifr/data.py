@@ -15,8 +15,8 @@ Container format (used for datasets and checkpoints):
     magic "IFR1" | version byte 0x01 | uint32-LE header length |
     UTF-8 JSON header [{name, shape, offset, length}, ...] |
     concatenated little-endian float64 payloads.
-Offsets are byte offsets into the payload region; length is the byte length
-of one entry and must equal 8 * prod(shape).
+Offset (into the payload region) and length (of one entry) count bytes, and
+length = 8 * prod(shape); shape entries, offset and length are JSON integers.
 """
 
 from __future__ import annotations
@@ -29,15 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import (
-    CounterRng,
-    normal_raw_count,
-    raw_stream,
-    split_keys,
-    to_integers,
-    to_normal,
-    to_uniform,
-)
+from .rng import CounterRng
 
 MAGIC = b"IFR1"
 VERSION = 1
@@ -101,15 +93,13 @@ class DatasetSpec:
 # Sample i draws from the stream CounterRng(seed).split(i): 10 uniforms
 # (cy, cx, ry, rx, theta of each ellipse), then C * 14 * 14 normals when
 # noise_sigma > 0, then the top and left of the patch that is zeroed.
-# `generate` draws and renders CHUNK samples at a time as arrays; each
+# `generate` draws CHUNK samples at a time through one batch cursor,
+# CounterRng(seed).split(indices), and renders them as arrays; each
 # sample still depends only on (seed, index). Chunks keep the temporaries
 # small: 320 + 1,536 desk-preset samples peaked at 69 MB resident in chunks
 # of 64 and at 184 MB drawn all at once, which was also slower.
 
 CHUNK = 64
-_ELLIPSE_DRAWS = 10
-_PATCH_DRAWS = 2
-_PATCH_SPAN = FEATURE_SIZE - PATCH_SIZE + 1
 
 _YY, _XX = np.meshgrid(np.arange(MASK_SIZE), np.arange(MASK_SIZE), indexing="ij")
 _COORDS = np.arange(FEATURE_SIZE)
@@ -165,19 +155,15 @@ def _encoder(spec: DatasetSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _chunk(spec: DatasetSpec, weights, offsets, indices: np.ndarray):
     """(features (k, C, 14, 14), masks (k, 1, 28, 28)) of the samples at `indices`."""
-    n_noise = spec.channels * FEATURE_SIZE * FEATURE_SIZE if spec.noise_sigma > 0 else 0
-    noise_draws = normal_raw_count(n_noise)
-    draws = _ELLIPSE_DRAWS + noise_draws + _PATCH_DRAWS
-    raw = raw_stream(split_keys(spec.seed, indices), 0, draws)
-    masks = _two_blob_masks(to_uniform(raw[:, :_ELLIPSE_DRAWS]))
+    rng = CounterRng(spec.seed).split(indices)
+    masks = _two_blob_masks(rng.uniform((10,)))
     pooled = _avg_pool2(masks)
     for _ in range(spec.blur_passes):
         pooled = _blur3(pooled)
     features = weights[:, None, None] * pooled[:, None] + offsets[:, None, None]
-    if n_noise:
-        noise = to_normal(raw[:, _ELLIPSE_DRAWS : _ELLIPSE_DRAWS + noise_draws], n_noise)
-        features = features + spec.noise_sigma * noise.reshape(features.shape)
-    top, left = to_integers(raw[:, -_PATCH_DRAWS:], 0, _PATCH_SPAN).T
+    if spec.noise_sigma > 0:
+        features = features + spec.noise_sigma * rng.normal(features.shape[1:])
+    top, left = rng.integers(0, FEATURE_SIZE - PATCH_SIZE + 1, (2,)).T
     in_rows = (_COORDS >= top[:, None]) & (_COORDS < top[:, None] + PATCH_SIZE)
     in_cols = (_COORDS >= left[:, None]) & (_COORDS < left[:, None] + PATCH_SIZE)
     patch = in_rows[:, None, :, None] & in_cols[:, None, None, :]
@@ -267,17 +253,19 @@ def load_container(path) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for entry in entries:
         try:
-            name, shape = entry["name"], tuple(int(s) for s in entry["shape"])
-            offset, length = int(entry["offset"]), int(entry["length"])
-            if not isinstance(name, str):
-                raise TypeError("entry name is not a string")
-        except (KeyError, TypeError, ValueError) as exc:
+            name, shape = entry["name"], tuple(entry["shape"])
+            offset, length = entry["offset"], entry["length"]
+        except (KeyError, TypeError) as exc:
             raise ContainerError(f"{path}: malformed entry {entry!r}") from exc
+        # JSON integers only: bool is an int subclass, and int() would take 2.5 or "2"
+        if not isinstance(name, str) or any(type(v) is not int for v in (*shape, offset, length)):
+            raise ContainerError(f"{path}: malformed entry {entry!r}")
         if name in out:
             raise EntryMismatchError(f"{path}: entry {name!r} appears more than once")
-        if min(shape, default=0) < 0:
-            raise EntryMismatchError(f"{path}: entry {name!r} has negative shape {shape}")
-        expected = 8 * int(np.prod(shape, dtype=np.int64)) if shape else 8
+        # numpy sizes an array by its nonzero dimensions, in int64 bytes
+        if min(shape, default=0) < 0 or 8 * math.prod(max(d, 1) for d in shape) >= 1 << 63:
+            raise EntryMismatchError(f"{path}: entry {name!r} has a negative or huge shape {shape}")
+        expected = 8 * math.prod(shape)
         if length != expected:
             raise EntryMismatchError(
                 f"{path}: entry {name!r} declares {length} bytes for shape {shape} "

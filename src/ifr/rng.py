@@ -5,6 +5,10 @@ initialization, solver probes) comes from a SplitMix64 stream so that a
 (seed, counter) pair fully determines every value, independent of platform
 and of how many draws other components have made.
 
+`CounterRng` is the one front end. `split` of a 1-D tag array gives one
+cursor over that batch of streams: a draw of shape s is (len(tags),) + s,
+row i byte-identical to what `split(tags[i])` draws.
+
 Constants are the standard SplitMix64 ones (Steele, Lea & Flood 2014):
 increment 0x9E3779B97F4A7C15, mix multipliers 0xBF58476D1CE4E5B9 and
 0x94D049BB133111EB.
@@ -33,94 +37,67 @@ def _mix64(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
-def raw_stream(key, start: int, count: int) -> np.ndarray:
-    """uint64 outputs number start..start+count-1 of the stream keyed by `key`.
-
-    `key` is an int seed or a uint64 array of stream keys (as `split_keys`
-    returns); an array gives one row of `count` outputs per key.
-    """
-    keys = np.asarray(key & _MASK64 if isinstance(key, int) else key, dtype=np.uint64)
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64(keys[..., None] + counters * _GOLDEN)
-
-
-def split_keys(key: int, tags) -> np.ndarray:
-    """Keys of the substreams `CounterRng(key).split(tag)` for each tag."""
-    tags = np.asarray(tags, dtype=np.uint64)
-    return _mix64(np.uint64(key & _MASK64) ^ _mix64(tags ^ _SPLIT_SALT))
-
-
-# The transforms below map raw outputs to draws along the last axis, so one
-# call serves a single stream (1-D) or a row per stream (2-D).
-
-
-def to_uniform(raw: np.ndarray) -> np.ndarray:
+def _to_uniform(raw: np.ndarray) -> np.ndarray:
     """Uniforms in [0, 1), float64, one per raw output."""
     return (raw >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
-def to_normal(raw: np.ndarray, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller from 2 * ceil(n / 2) raw outputs."""
-    pairs = raw.shape[-1] // 2
-    # u1 in (0, 1] so log() is finite
-    u1 = to_uniform(raw[..., :pairs]) + _INV_2_53
-    u2 = to_uniform(raw[..., pairs:])
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * math.pi) * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)[..., :n]
-
-
-def to_integers(raw: np.ndarray, low: int, high: int) -> np.ndarray:
-    """Integers in [low, high) by modulo reduction; the span must be < 2^32."""
-    span = int(high) - int(low)
-    if span <= 0:
-        raise ValueError(f"empty integer range [{low}, {high})")
-    if span >= 1 << 32:
-        raise ValueError("integer span too large for modulo draw")
-    return low + (raw % np.uint64(span)).astype(np.int64)
-
-
-def normal_raw_count(n: int) -> int:
-    """Raw outputs `to_normal` consumes for n normals."""
-    return 2 * ((n + 1) // 2)
-
-
 class CounterRng:
-    """A stateful cursor over one SplitMix64 stream.
+    """A stateful cursor over one SplitMix64 stream, or over a batch of them.
 
     The cursor only ever moves forward; `split` derives an independent
     stream whose key mixes the parent key with a tag, so substreams never
-    collide regardless of draw order.
+    collide regardless of draw order. Raw outputs and their transforms run
+    along the last axis, so one code path serves one stream and a batch.
     """
 
     def __init__(self, seed: int):
-        self._seed = int(seed) & _MASK64
+        self._keys = np.asarray(int(seed) & _MASK64, dtype=np.uint64)
         self._cursor = 0
 
-    def split(self, tag: int) -> "CounterRng":
-        return CounterRng(int(split_keys(self._seed, tag)))
+    def split(self, tag) -> "CounterRng":
+        """The substream of an int tag, or the batch of substreams of a 1-D tag array."""
+        child = CounterRng(0)
+        child._keys = _mix64(self._keys ^ _mix64(np.asarray(tag, dtype=np.uint64) ^ _SPLIT_SALT))
+        return child
 
     def _raw(self, count: int) -> np.ndarray:
-        out = raw_stream(self._seed, self._cursor, count)
+        """The next `count` uint64 outputs of each stream."""
+        counters = np.arange(self._cursor + 1, self._cursor + count + 1, dtype=np.uint64)
         self._cursor += count
-        return out
+        with np.errstate(over="ignore"):
+            return _mix64(self._keys[..., None] + counters * _GOLDEN)
 
-    def uniform(self, shape=()) -> np.ndarray:
+    def _shaped(self, vals: np.ndarray, shape):
+        """A batch's draws as (streams,) + shape; one stream's as shape, a scalar for ()."""
+        if self._keys.ndim:
+            return vals.reshape(self._keys.shape + tuple(np.atleast_1d(shape)))
+        return vals.reshape(shape) if shape else vals[0].item()
+
+    def uniform(self, shape=()):
         """Uniforms in [0, 1), float64."""
-        vals = to_uniform(self._raw(_size(shape)))
-        return vals.reshape(shape) if shape else float(vals[0])
+        return self._shaped(_to_uniform(self._raw(_size(shape))), shape)
 
-    def normal(self, shape=()) -> np.ndarray:
-        """Standard normals via Box-Muller on stream pairs."""
+    def normal(self, shape=()):
+        """Standard normals by Box-Muller: radii from ceil(n / 2) outputs, angles from the next."""
         n = _size(shape)
-        vals = to_normal(self._raw(normal_raw_count(n)), n)
-        return vals.reshape(shape) if shape else float(vals[0])
+        raw = self._raw(2 * ((n + 1) // 2))
+        pairs = raw.shape[-1] // 2
+        # u1 in (0, 1] so log() is finite
+        r = np.sqrt(-2.0 * np.log(_to_uniform(raw[..., :pairs]) + _INV_2_53))
+        theta = (2.0 * math.pi) * _to_uniform(raw[..., pairs:])
+        vals = np.concatenate([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+        return self._shaped(vals[..., :n], shape)
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
+    def integers(self, low: int, high: int, shape=()):
         """Integers in [low, high). Modulo reduction; span must be < 2^32."""
-        vals = to_integers(self._raw(_size(shape)), low, high)
-        return vals.reshape(shape) if shape else int(vals[0])
+        span = int(high) - int(low)
+        if span <= 0:
+            raise ValueError(f"empty integer range [{low}, {high})")
+        if span >= 1 << 32:
+            raise ValueError("integer span too large for modulo draw")
+        raw = self._raw(_size(shape))
+        return self._shaped(low + (raw % np.uint64(span)).astype(np.int64), shape)
 
 
 def _size(shape) -> int:

@@ -385,7 +385,7 @@ def train(
 
     for it in range(train_cfg.total_iters):
         lr = lr_at(train_cfg, it)
-        idx = np.atleast_1d(batch_rng.integers(0, n_train, (train_cfg.batch_size,)))
+        idx = batch_rng.integers(0, n_train, (train_cfg.batch_size,))
         batch = _stack([train_set[int(j)] for j in idx])
         loss, grads, forward, adjoint = sample_loss_and_grads(
             state.params, head_cfg, solver, batch

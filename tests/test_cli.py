@@ -393,17 +393,22 @@ def test_a_dataset_that_does_not_fit_the_head_is_a_config_error(
 
 @pytest.mark.parametrize("command", ["train", "compare"])
 @pytest.mark.parametrize("features,masks,message", [
-    ((6, 4, 10, 10), (6, 1, 28, 28),
+    (np.zeros((6, 4, 10, 10)), np.zeros((6, 1, 28, 28)),
      "dataset mask shape (1, 28, 28) is not (classes, 2H, 2W) for feature shape (4, 10, 10)"),
-    ((6, 4, 14), (6, 1, 28, 28),
+    (np.zeros((6, 4, 14)), np.zeros((6, 1, 28, 28)),
      "dataset mask shape (1, 28, 28) is not (classes, 2H, 2W) for feature shape (4, 14)"),
-    ((0, 4, 14, 14), (0, 1, 28, 28), "dataset has no samples"),
-], ids=["10x10-features-28x28-masks", "2d-features", "empty"])
+    (np.zeros((0, 4, 14, 14)), np.zeros((0, 1, 28, 28)), "dataset has no samples"),
+    # the right shapes with values no head can train on
+    (np.full((12, 4, 14, 14), np.nan), np.zeros((12, 1, 28, 28)),
+     "dataset features contain non-finite values"),
+    (np.zeros((12, 4, 14, 14)), np.full((12, 1, 28, 28), 0.5),
+     "dataset mask entries must be exactly 0 or 1"),
+], ids=["10x10-features-28x28-masks", "2d-features", "empty", "nan-features", "half-masks"])
 def test_a_dataset_of_the_wrong_shape_is_a_config_error(
     tmp_path, capsys, monkeypatch, command, features, masks, message
 ):
     cfg = write_config(tmp_path / "cfg.json", dataset_path="d.ifr")
-    save_container(tmp_path / "d.ifr", {"features": np.zeros(features), "masks": np.zeros(masks)})
+    save_container(tmp_path / "d.ifr", {"features": features, "masks": masks})
     monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("a cell trained"))
     flags = ["--strategies", "implicit-broyden,explicit-independent:2"] * (command == "compare")
     assert main([command, "--config", str(cfg), *flags]) == 1

@@ -273,6 +273,32 @@ def test_container_rejects_negative_shapes_and_lengths(tmp_path, shape, length):
         load_container(path)
 
 
+@pytest.mark.parametrize(
+    "fields,error",
+    [
+        (dict(shape=[2.5]), ContainerError),
+        (dict(shape=["2"], offset="0"), ContainerError),
+        (dict(shape=[True, 2]), ContainerError),
+        (dict(length=16.0), ContainerError),
+        (dict(shape=[2**32, 2**32], length=0), EntryMismatchError),  # 2^64 elements
+        (dict(shape=[2**62, 0], length=0), EntryMismatchError),  # no element, yet 2^65 bytes
+    ],
+    ids=["float-dim", "string-dim-and-offset", "bool-dim", "float-length", "int64-overflow",
+         "huge-empty"],
+)
+def test_container_header_integers_are_json_integers_that_fit_int64(tmp_path, fields, error):
+    path = tmp_path / "ints.ifr"
+    save_container(path, {"a": np.ones(2), "b": np.ones(2)})
+
+    def edit(entries):
+        entries[1].update(fields)
+        return entries
+
+    _rewrite_header(path, edit)
+    with pytest.raises(error):
+        load_container(path)
+
+
 def test_container_rejects_a_repeated_entry_name(tmp_path):
     path = tmp_path / "dup.ifr"
     save_container(path, {"a": np.ones(2), "b": np.ones(2)})

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from ifr.rng import (
-    CounterRng,
-    normal_raw_count,
-    raw_stream,
-    split_keys,
-    to_integers,
-    to_normal,
-    to_uniform,
-)
+from ifr.rng import CounterRng
 
 
 def test_streams_are_reproducible():
@@ -18,10 +10,17 @@ def test_streams_are_reproducible():
     assert np.array_equal(a, b)
 
 
-def test_raw_stream_is_counter_addressable():
-    whole = raw_stream(9, 0, 20)
-    tail = raw_stream(9, 5, 15)
-    assert np.array_equal(whole[5:], tail)
+def test_draws_are_counter_addressable():
+    rng = CounterRng(9)
+    head, tail = rng.uniform((5,)), rng.uniform((15,))
+    assert np.concatenate([head, tail]).tobytes() == CounterRng(9).uniform((20,)).tobytes()
+
+
+def test_a_one_stream_scalar_draw_is_a_python_number():
+    rng = CounterRng(12).split(3)
+    assert type(rng.uniform()) is float
+    assert type(rng.normal()) is float
+    assert type(rng.integers(0, 9)) is int
 
 
 def test_split_streams_do_not_collide():
@@ -50,22 +49,24 @@ def test_integers_cover_range():
 
 
 @pytest.mark.parametrize(
-    "raw_count,draw,transform",
+    "draw",
     [
-        (6, lambda rng: rng.uniform((6,)), to_uniform),
-        (normal_raw_count(7), lambda rng: rng.normal((7,)), lambda raw: to_normal(raw, 7)),
-        (normal_raw_count(8), lambda rng: rng.normal((2, 4)).ravel(), lambda raw: to_normal(raw, 8)),
-        (5, lambda rng: rng.integers(3, 13, (5,)), lambda raw: to_integers(raw, 3, 13)),
+        lambda rng: rng.uniform((6,)),
+        lambda rng: rng.normal((7,)),
+        lambda rng: rng.normal((2, 4)),
+        lambda rng: rng.integers(3, 13, (5,)),
     ],
     ids=["uniform", "normal-odd", "normal-even", "integers"],
 )
-def test_array_key_draws_match_split_streams(raw_count, draw, transform):
-    seed, tags, cursor = 77, [0, 1, 5, 64, 2**40], 13
-    rows = transform(raw_stream(split_keys(seed, tags), cursor, raw_count))
+def test_array_key_draws_match_split_streams(draw):
+    seed, tags, cursor = 77, np.array([0, 1, 5, 64, 2**40]), 13
+    batch = CounterRng(seed).split(tags)
+    batch.uniform((cursor,))  # start the draw at a nonzero cursor
+    rows = draw(batch)
     assert rows.shape[0] == len(tags)
     for tag, row in zip(tags, rows):
-        rng = CounterRng(seed).split(tag)
-        rng.uniform((cursor,))  # move the cursor to where the rows start
+        rng = CounterRng(seed).split(int(tag))
+        rng.uniform((cursor,))
         expected = draw(rng)
-        assert row.dtype == expected.dtype
+        assert row.dtype == expected.dtype and row.shape == expected.shape
         assert row.tobytes() == expected.tobytes()
