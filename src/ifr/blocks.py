@@ -97,6 +97,12 @@ class MaskPredictorParams:
     deconv: ConvParams
     proj: ConvParams
 
+    def __post_init__(self):
+        if self.deconv.direction.shape[2:] != (2, 2) or self.proj.direction.shape[2:] != (1, 1):
+            raise ShapeError("the predictor needs a 2x2 deconv kernel and a 1x1 projection")
+        if self.proj.in_channels != self.deconv.out_channels:
+            raise ShapeError("the projection must read the deconv's output channels")
+
     def leaf_items(self, prefix: str = ""):
         return ops.nested_leaf_items(prefix, _predictor_parts(self.deconv, self.proj))
 
@@ -489,8 +495,13 @@ def mask_predictor_forward(p: MaskPredictorParams, h: np.ndarray, keep_tape: boo
     """Refined feature (C, H, W) to logits (classes, 2H, 2W).
 
     With keep_tape, returns (logits, a): a is the ReLU of the upsampled
-    feature, the one intermediate mask_predictor_vjp reads.
+    feature, the one intermediate mask_predictor_vjp reads. h is checked here; the
+    ops and mask_predictor_vjp check nothing.
     """
+    ops.check_maps(h, "mask predictor input")
+    if h.shape[-3] != p.deconv.in_channels:
+        raise ShapeError(f"input has {h.shape[-3]} channels, predictor expects "
+                         f"{p.deconv.in_channels}")
     a = np.maximum(ops.deconv2x2(h, p.deconv), 0.0)
     logits = ops.conv2d(a, p.proj)
     return (logits, a) if keep_tape else logits

@@ -45,7 +45,7 @@ from .gradcheck import FD_TOLERANCE, SOLVE_REL_TOL, UNROLL_TOLERANCE, run_grad_c
 from .ops import NonFiniteError
 from .rng import CounterRng
 from .solver import DivergenceError, SolverConfig, broyden_solve, fixed_point_iterate
-from .training import TrainConfig, TrainingAbortedError, solver_config_for, train
+from .training import TrainConfig, TrainingAbortedError, check_dataset, solver_config_for, train
 
 CSV_VERSION = "# ifr-csv v1"
 
@@ -188,30 +188,11 @@ def _load_dataset(cfg: ExperimentConfig, out_dir) -> list:
     return tensors_to_samples(load_container(path))
 
 
-def _check_dataset_fits(dataset: list, head: HeadConfig) -> None:
-    """A ConfigError unless the dataset has samples, each a finite (head.channels, H, W)
-    feature and a 0/1 (head.predictor_classes, 2H, 2W) mask."""
-    if not dataset:
-        raise ConfigError("dataset has no samples")
-    for feature, mask in {(s.feature.shape, s.mask.shape) for s in dataset}:
-        if len(feature) != 3 or len(mask) != 3 or mask[1:] != (2 * feature[1], 2 * feature[2]):
-            raise ConfigError(f"dataset mask shape {mask} is not (classes, 2H, 2W) "
-                              f"for feature shape {feature}")
-        for what, n, name in (("feature channels", feature[0], "channels"),
-                              ("mask classes", mask[0], "predictor_classes")):
-            if n != getattr(head, name):
-                raise ConfigError(f"dataset {what} {n} != head.{name} {getattr(head, name)}")
-    if not all(np.isfinite(s.feature).all() for s in dataset):
-        raise ConfigError("dataset features contain non-finite values")
-    if not all(((s.mask == 0.0) | (s.mask == 1.0)).all() for s in dataset):
-        raise ConfigError("dataset mask entries must be exactly 0 or 1")
-
-
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config)
     out_dir = args.output_dir or cfg.output_dir
     dataset = _load_dataset(cfg, out_dir)
-    _check_dataset_fits(dataset, cfg.head)
+    _config_call(check_dataset, dataset, cfg.head)
     state, metrics = train(cfg.head, cfg.train, dataset, solver_cfg=cfg.solver)
     columns = ["iter", "lr", "loss", "held_out_iou", "solver_converged_frac"]
     rows = [[m[c] for c in columns] for m in metrics]
@@ -240,10 +221,10 @@ def _parse_int(text: str, what: str) -> int:
         raise ConfigError(f"bad {what} {text!r}") from exc
 
 
-def _head_config(build, *args, **kwargs) -> HeadConfig:
-    """build(*args, **kwargs), a HeadConfig; its ValueError becomes a ConfigError."""
+def _config_call(fn, *args, **kwargs):
+    """fn(*args, **kwargs), whose ValueError becomes a ConfigError."""
     try:
-        return build(*args, **kwargs)
+        return fn(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -280,7 +261,7 @@ def _expand_cells(args, cfg: ExperimentConfig) -> list[HeadConfig]:
         else:
             depths = [depth]
         cells.extend(
-            _head_config(dataclasses.replace, cfg.head, strategy=strategy,
+            _config_call(dataclasses.replace, cfg.head, strategy=strategy,
                          depth_or_budget=d, double_residual=double_res)
             for d in depths
         )
@@ -305,7 +286,7 @@ def cmd_compare(args) -> int:
         dataset = _load_dataset(cfg, out_dir)
     else:
         dataset = generate(cfg.data)
-    _check_dataset_fits(dataset, cfg.head)
+    _config_call(check_dataset, dataset, cfg.head)
 
     def safe_run(index: int, head: HeadConfig) -> list:
         try:
@@ -339,7 +320,7 @@ def cmd_param_count(args) -> int:
         raise ConfigError(f"unknown profile {args.profile!r}; expected {sorted(_PROFILES)}")
     strategy, depth, double_res = parse_strategy_token(args.strategy, default_depth=4)
     multiplier = eval_multiplier(args.multiplier)
-    head = _head_config(
+    head = _config_call(
         HeadConfig,
         strategy=strategy,
         depth_or_budget=depth if depth is not None else 15,

@@ -194,6 +194,8 @@ def tensors_to_samples(tensors: dict[str, np.ndarray]) -> list[Sample]:
     if missing:
         raise EntryMismatchError(f"dataset container missing entries {missing}")
     feats, masks = tensors["features"], tensors["masks"]
+    if feats.ndim == 0 or masks.ndim == 0:
+        raise EntryMismatchError("dataset features and masks need a leading sample axis")
     if feats.shape[0] != masks.shape[0]:
         raise EntryMismatchError("features and masks disagree on sample count")
     return [Sample(feature=f.copy(), mask=m.copy()) for f, m in zip(feats, masks)]

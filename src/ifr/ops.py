@@ -10,16 +10,13 @@ conv is prepared once (`ConvGemm`) for inputs of any shape, and its kernel
 gradient is read from the im2col columns of its output cotangent, which
 its input adjoint builds anyway. Group-norm statistics are per sample.
 Every operation here is pure and has an exact hand-derived adjoint, so
-block- and head-level backward passes compose without an autodiff tape. A VJP returns the adjoint of its input and, for an op with
-parameters, a `Grads`: the ordered leaf-name -> array mapping of the
-record's `leaf_items()`, summed over the batch.
+block- and head-level backward passes compose without an autodiff tape. A
+VJP returns the adjoint of its input and, for an op with parameters, a
+`Grads`: the ordered leaf-name -> array mapping of the record's
+`leaf_items()`, summed over the batch.
 
-`conv2d`, `conv2d_vjp`, `deconv2x2` and `deconv2x2_vjp`, which the mask
-predictor calls, check shapes and finiteness on entry (one check per batch).
-The pieces the block runs after its `_check_operands` check nothing:
-`ConvGemm`, `transposed_conv`, `conv2d_adjoint`, `kernel_grads`, and
-group norm, `xhat * scale + shift` from `group_stats`, with its adjoint
-halves `group_norm_input_vjp` and `group_norm_param_grads`.
+No operation checks an operand but a conv's kernel size: each layer of
+`ifr.blocks` checks its input once on entry, with `check_maps`.
 """
 
 from __future__ import annotations
@@ -50,20 +47,19 @@ def as_tensor(values) -> np.ndarray:
     return np.ascontiguousarray(values, dtype=np.float64)
 
 
-def check_finite(x: np.ndarray, what: str = "input") -> np.ndarray:
+def check_finite(x: np.ndarray, what: str = "input") -> None:
     # a single sum is finite iff every entry is (inf - inf gives nan)
     if not np.isfinite(x.sum()):
         raise NonFiniteError(f"{what} contains non-finite values")
-    return x
 
 
-def check_maps(x: np.ndarray, what: str) -> np.ndarray:
-    """A finite (C, H, W) map or (N, C, H, W) batch of maps."""
+def check_maps(x: np.ndarray, what: str) -> None:
+    """Raises unless x is a finite (C, H, W) map or (N, C, H, W) batch of maps."""
     if x.ndim not in (3, 4):
         raise ShapeError(
             f"{what} must be ([batch,] channels, height, width), got shape {x.shape}"
         )
-    return check_finite(x, what)
+    check_finite(x, what)
 
 
 def as_batch(x: np.ndarray) -> np.ndarray:
@@ -311,27 +307,12 @@ def transposed_conv(kernel: np.ndarray) -> ConvGemm:
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Cross-correlation with the effective kernel and a per-channel bias."""
-    x = check_maps(x, "conv2d input")
-    if x.shape[-3] != p.in_channels:
-        raise ShapeError(f"input has {x.shape[-3]} channels, kernel expects {p.in_channels}")
     return ConvGemm(effective_kernel(p), p.bias)(x)
 
 
 def conv2d_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray) -> tuple[np.ndarray, Grads]:
-    """Input adjoint and parameter-leaf gradients of conv2d, after checking both operands."""
-    x = check_maps(x, "conv2d input")
-    cotangent = check_maps(cotangent, "conv2d cotangent")
-    kernel = effective_kernel(p)
-    out_c, in_c = kernel.shape[:2]
-    c, h, w = x.shape[-3:]
-    if c != in_c:
-        raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
-    if cotangent.shape != x.shape[:-3] + (out_c, h, w):
-        raise ShapeError(
-            f"cotangent shape {cotangent.shape} does not match output "
-            f"{x.shape[:-3] + (out_c, h, w)}"
-        )
-    return conv2d_input_vjp(kernel, cotangent), conv2d_param_grads(x, p, cotangent)
+    """Input adjoint and parameter-leaf gradients of conv2d."""
+    return conv2d_input_vjp(effective_kernel(p), cotangent), conv2d_param_grads(x, p, cotangent)
 
 
 def conv2d_adjoint(conv_t: ConvGemm, cotangent: np.ndarray, p: ConvParams | None = None,
@@ -373,16 +354,6 @@ def _deconv_taps(kernel: np.ndarray) -> np.ndarray:
     return kernel.transpose(0, 2, 3, 1).reshape(-1, kernel.shape[1])
 
 
-def _deconv_shapes(x: np.ndarray, kernel: np.ndarray):
-    out_c, in_c, kh, kw = kernel.shape
-    if (kh, kw) != (2, 2):
-        raise ShapeError(f"deconv2x2 kernel must be 2x2, got {kh}x{kw}")
-    c, h, w = x.shape[-3:]
-    if c != in_c:
-        raise ShapeError(f"input has {c} channels, kernel expects {in_c}")
-    return x.shape[:-3] + (out_c, 2 * h, 2 * w)
-
-
 def deconv2x2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """Transposed convolution, 2x2 kernel, stride 2: doubles spatial extent.
 
@@ -391,27 +362,18 @@ def deconv2x2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     GEMM of the (o, a, b) taps against the batch's pixels, each (a, b) tap
     then written into its strided slice of the output.
     """
-    x = check_maps(x, "deconv2x2 input")
     kernel = effective_kernel(p)
-    out_shape = _deconv_shapes(x, kernel)
     (n, _, h, w), out_c = as_batch(x).shape, kernel.shape[0]
     rows = (_deconv_taps(kernel) @ channel_rows(x)).reshape(out_c, 2, 2, n, h, w)
     rows += p.bias[:, None, None, None, None, None]
     out = np.empty((n, out_c, h, 2, w, 2))  # out[n, o, i, a, j, b] is out[n, o, 2i+a, 2j+b]
     for a, b in np.ndindex(2, 2):
         out[:, :, :, a, :, b] = rows[:, a, b].transpose(1, 0, 2, 3)
-    return out.reshape(out_shape)
+    return out.reshape(x.shape[:-3] + (out_c, 2 * h, 2 * w))
 
 
 def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
-    x = check_maps(x, "deconv2x2 input")
-    cotangent = check_maps(cotangent, "deconv2x2 cotangent")
     kernel = effective_kernel(p)
-    out_shape = _deconv_shapes(x, kernel)
-    if cotangent.shape != out_shape:
-        raise ShapeError(
-            f"cotangent shape {cotangent.shape} does not match output {out_shape}"
-        )
     out_c, in_c = kernel.shape[:2]
     n = as_batch(x).shape[0]
     h, w = x.shape[-2:]

@@ -111,16 +111,33 @@ class EvalMetrics:
 # loss and schedule
 
 
+def check_dataset(dataset: list[Sample], head: HeadConfig) -> None:
+    """A ValueError unless the dataset has samples, each a finite (head.channels, H, W)
+    feature and a 0/1 (head.predictor_classes, 2H, 2W) mask. train and evaluate apply
+    it to their whole dataset before any work, so no later pass checks a sample."""
+    if not dataset:
+        raise ValueError("dataset has no samples")
+    for feature, mask in {(s.feature.shape, s.mask.shape) for s in dataset}:
+        if len(feature) != 3 or len(mask) != 3 or mask[1:] != (2 * feature[1], 2 * feature[2]):
+            raise ValueError(f"dataset mask shape {mask} is not (classes, 2H, 2W) "
+                             f"for feature shape {feature}")
+        for what, n, name in (("feature channels", feature[0], "channels"),
+                              ("mask classes", mask[0], "predictor_classes")):
+            if n != getattr(head, name):
+                raise ValueError(f"dataset {what} {n} != head.{name} {getattr(head, name)}")
+    if not all(np.isfinite(s.feature).all() for s in dataset):
+        raise ValueError("dataset features contain non-finite values")
+    if not all(((s.mask == 0.0) | (s.mask == 1.0)).all() for s in dataset):
+        raise ValueError("dataset mask entries must be exactly 0 or 1")
+
+
 def bce_mask_loss(logits: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-pixel binary cross-entropy with logits; returns (loss, dLogits).
 
     The mean is over one sample's (classes, H, W) pixels. With a leading
-    batch axis the loss is the sum of the per-sample means.
+    batch axis the loss is the sum of the per-sample means. target is a 0/1
+    mask of the logits' shape, which check_dataset ensures and nothing here checks.
     """
-    if logits.shape != target.shape:
-        raise ShapeError(f"logits shape {logits.shape} != target shape {target.shape}")
-    if not np.all((target == 0.0) | (target == 1.0)):
-        raise ValueError("target entries must be exactly 0 or 1")
     n = int(np.prod(logits.shape[-3:]))
     # log(1 + e^z) - z t, computed as max(z,0) - z t + log1p(e^-|z|); the sigmoid
     # is 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, both from e = e^-|z|
@@ -323,8 +340,7 @@ def init_train_state(
 def evaluate(state: TrainState, dataset: list[Sample]) -> EvalMetrics:
     """Mean mask IoU at threshold 0.5 (logits > 0) and mean loss; no pass keeps a tape.
     Each stage is prepared once per call, and every chunk runs on those snapshots."""
-    if not dataset:
-        raise ValueError("cannot evaluate on an empty dataset")
+    check_dataset(dataset, state.head_cfg)
     params = HeadParams([blocks.prepare_block(stage) for stage in state.params.stages],
                         state.params.predictor)
     iou_total = loss_total = 0.0
@@ -366,8 +382,7 @@ def train(
     Issues one OffEquilibriumWarning per run if any forward or adjoint solve
     of a training sample stopped unconverged.
     """
-    if not dataset:
-        raise ValueError("dataset must be non-empty")
+    check_dataset(dataset, head_cfg)
     n_holdout = max(1, int(round(len(dataset) * _HOLDOUT_FRACTION)))
     n_train = len(dataset) - n_holdout
     if n_train < 1 and train_cfg.total_iters > 0:

@@ -290,6 +290,48 @@ def test_mask_predictor_vjp_matches_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# input checks: each layer checks its input map once, where it enters
+
+
+def layer_entries():
+    """Each entry that checks an input map, as a function of a map for a 4-channel layer."""
+    block, predictor = small_block(seed=57), init_mask_predictor(CounterRng(58), 4, 2)
+    return [
+        lambda m: double_residual_forward(block, np.zeros_like(m), m),
+        lambda m: blocks.block_forward_tape(block, np.zeros_like(m), m),
+        lambda m: stacked_head_forward([block, block], m),
+        lambda m: mask_predictor_forward(predictor, m),
+        lambda m: mask_predictor_forward(predictor, m, keep_tape=True),
+    ]
+
+
+def test_layer_entries_reject_maps_without_three_or_four_axes():
+    for entry in layer_entries():
+        for shape in [(4, 5), (1, 2, 4, 5, 5)]:
+            with pytest.raises(ShapeError, match="channels, height, width"):
+                entry(rand(59, shape))
+
+
+def test_layer_entries_reject_a_non_finite_entry_and_the_wrong_channel_count():
+    for entry in layer_entries():
+        for bad in (np.nan, np.inf):
+            batch = rand(61, (2, 4, 5, 5))
+            batch[1, 3, 4, 0] = bad
+            with pytest.raises(ops.NonFiniteError, match="contains non-finite values"):
+                entry(batch)
+        with pytest.raises(ShapeError, match="has 3 channels"):
+            entry(rand(62, (3, 5, 5)))
+
+
+def test_a_predictor_record_checks_its_kernel_shapes_when_built():
+    p = init_mask_predictor(CounterRng(63), 4, 2)
+    with pytest.raises(ShapeError, match="2x2 deconv kernel and a 1x1 projection"):
+        blocks.MaskPredictorParams(p.proj, p.deconv)
+    with pytest.raises(ShapeError, match="deconv's output channels"):
+        blocks.MaskPredictorParams(init_mask_predictor(CounterRng(64), 3, 2).deconv, p.proj)
+
+
+# ---------------------------------------------------------------------------
 # parameter counting (closed-form inventory, checked against built params)
 
 

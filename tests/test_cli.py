@@ -215,6 +215,17 @@ def test_a_dataset_container_without_its_entries_is_an_io_error(
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_dataset_container_with_0d_entries_is_an_io_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path / "cfg.json", dataset_path="c.ifr")
+    save_container(tmp_path / "c.ifr", {"features": np.array(1.0), "masks": np.array(0.0)})
+    flags = ["--strategies", "implicit-broyden"] * (command == "compare")
+    assert main([command, "--config", str(cfg), *flags]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: dataset features and masks need a leading sample axis\n"
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_importing_the_cli_leaves_hashlib_unloaded():
     src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, ifr.cli; print('_hashlib' in sys.modules)"

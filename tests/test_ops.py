@@ -156,18 +156,6 @@ def test_conv2d_weight_norm_matches_direct_summation():
     assert np.allclose(out, naive_conv2d(x, effective_kernel(p), p.bias), atol=1e-12)
 
 
-def test_conv2d_rejects_bad_shapes_and_nonfinite():
-    p = plain_conv(2, 3, 3, seed=1)
-    with pytest.raises(ShapeError):
-        conv2d(rand(2, (4, 5, 5)), p)
-    bad = rand(3, (3, 5, 5))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(NonFiniteError):
-        conv2d(bad, p)
-    with pytest.raises(ShapeError):
-        conv2d_vjp(rand(4, (3, 5, 5)), p, np.zeros((2, 9, 9)))
-
-
 def test_conv2d_vjp_zero_cotangent_gives_zero_grads():
     x = rand(5, (2, 4, 4))
     p = plain_conv(3, 2, 3, seed=6, weight_norm=True)
@@ -579,17 +567,3 @@ def test_batched_group_norm_and_deconv_match_stacked_per_sample_results():
     assert max_rel(dx, np.stack([d for d, _ in per])) < 1e-12
     for leaf in ("direction", "gain", "bias"):
         assert max_rel(grads[leaf], sum(g[leaf] for _, g in per)) < 1e-12
-
-
-def test_ops_reject_maps_without_three_or_four_axes():
-    p = plain_conv(2, 3, 3, seed=216)
-    with pytest.raises(ShapeError):
-        conv2d(rand(217, (3, 5)), p)
-    with pytest.raises(ShapeError):
-        conv2d(rand(218, (1, 2, 3, 5, 5)), p)
-    with pytest.raises(ShapeError):
-        deconv2x2(rand(219, (3, 5)), plain_conv(2, 3, 2, seed=220))
-    batch = rand(221, (2, 3, 5, 5))
-    batch[1, 0, 0, 0] = np.inf
-    with pytest.raises(NonFiniteError):
-        conv2d(batch, p)

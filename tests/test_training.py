@@ -1,7 +1,9 @@
 """Loss, schedule, SGD, evaluation arithmetic, and training-loop contracts."""
 
+import collections
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -80,11 +82,44 @@ def test_bce_gradient_is_the_two_branch_sigmoid_bytes():
         assert grad.tobytes() == expected.tobytes()
 
 
-def test_bce_rejects_bad_targets_and_shapes():
-    with pytest.raises(ValueError):
-        bce_mask_loss(np.zeros((1, 2, 2)), np.full((1, 2, 2), 0.5))
-    with pytest.raises(ValueError):
-        bce_mask_loss(np.zeros((1, 2, 2)), np.zeros((1, 2, 3)))
+def broken(sample, case):
+    """A copy of sample that breaks the dataset rule as case says."""
+    feature, mask = sample.feature.copy(), sample.mask.copy()
+    if case == "half-mask":
+        mask[0, 3, 4] = 0.5
+    elif case == "nan-feature":
+        feature[2, 1, 0] = np.nan
+    elif case == "mask-shape":
+        mask = mask[:, :, :-1]
+    else:
+        mask = np.concatenate([mask, mask])
+    return data.Sample(feature, mask)
+
+
+@pytest.mark.parametrize("case,message", [
+    ("half-mask", "dataset mask entries must be exactly 0 or 1"),
+    ("nan-feature", "dataset features contain non-finite values"),
+    ("mask-shape", "dataset mask shape (1, 28, 27) is not (classes, 2H, 2W) "
+                   "for feature shape (8, 14, 14)"),
+    ("classes", "dataset mask classes 2 != head.predictor_classes 1"),
+], ids=["half-mask", "nan-feature", "mask-shape", "classes"])
+def test_train_and_evaluate_reject_a_dataset_that_breaks_the_rule(
+        grid_dataset, monkeypatch, case, message):
+    samples = [broken(grid_dataset[0], case)] + grid_dataset[1:10]
+    monkeypatch.setattr(training, "sgd_step", lambda *a: pytest.fail("a step ran"))
+    head = grid_head(EXPLICIT, 1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        train(head, grid_train_cfg(total_iters=2, decay_points=(), warmup_iters=0), samples)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        evaluate(init_train_state(head, grid_train_cfg(), GRID_SOLVER), samples)
+
+
+def test_a_bad_holdout_mask_stops_train_before_its_first_step(grid_dataset, monkeypatch):
+    samples = grid_dataset[:9] + [broken(grid_dataset[9], "half-mask")]
+    monkeypatch.setattr(training, "sgd_step", lambda *a: pytest.fail("a step ran"))
+    cfg = grid_train_cfg(total_iters=4, decay_points=(), warmup_iters=0)
+    with pytest.raises(ValueError, match="dataset mask entries must be exactly 0 or 1"):
+        train(grid_head(EXPLICIT, 1), cfg, samples, GRID_SOLVER, log_every=2)
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +422,39 @@ def test_batched_grads_are_the_sum_of_single_sample_grads(grid_dataset, strategy
     # cancel keeps an absolute error near 1e-17, which the guard's floor
     # (1e-6 of the largest gradient) turns into a few 1e-11
     assert guarded_max_rel_error(batched, summed) <= 1e-10
+
+
+@pytest.mark.parametrize("strategy", [EXPLICIT, UNROLLED, IMPLICIT])
+def test_each_array_is_summed_for_finiteness_once_where_it_enters(
+        grid_dataset, monkeypatch, strategy):
+    """A training step at batch 8 and an evaluate chunk: the predictor sums its input h
+    once per forward, and nothing sums a, the deconv cotangent or the loss gradient. The
+    blocks sum their input and hidden state as before: a taped finite stack checks each
+    block on first use and again at each step's tape, an untaped one on first use only,
+    and the implicit head once, in its backward's tape."""
+    state = init_train_state(grid_head(strategy, 4), grid_train_cfg(), GRID_SOLVER)
+    sums, real = collections.Counter(), ops.check_finite
+
+    def counting(x, what="input"):
+        sums[what, x.shape] += 1
+        real(x, what)
+
+    monkeypatch.setattr(ops, "check_finite", counting)
+    samples, shape = grid_dataset[:8], (8, 8, 14, 14)
+    training.sample_loss_and_grads(
+        state.params, state.head_cfg, state.solver_cfg, training._stack(samples))
+    step = dict(sums)
+    sums.clear()
+    evaluate(state, samples)
+
+    def expected(blocks_checked):
+        names = ("block input", "block hidden state") if blocks_checked else ()
+        return {**{(name, shape): blocks_checked for name in names},
+                ("mask predictor input", shape): 1}
+
+    step_blocks, eval_blocks = {EXPLICIT: (8, 4), UNROLLED: (5, 1), IMPLICIT: (1, 0)}[strategy]
+    assert step == expected(step_blocks)
+    assert dict(sums) == expected(eval_blocks)
 
 
 def test_evaluate_scores_each_sample_on_its_own_logits(grid_dataset, monkeypatch):
