@@ -216,61 +216,42 @@ def init_group_norm(channels: int) -> GroupNormParams:
     return GroupNormParams(default_group_count(channels), np.ones(channels), np.zeros(channels))
 
 
-def _init_shortcut(channels: int, gain_value: float, weight_norm: bool) -> ConvParams:
-    direction = np.zeros((channels, channels, 1, 1))
-    direction[np.arange(channels), np.arange(channels), 0, 0] = gain_value
-    gain = np.full(channels, gain_value) if weight_norm else np.ones(channels)
-    return ConvParams(direction, gain, np.zeros(channels), weight_norm)
+def init_double_residual(rng: CounterRng, cfg: HeadConfig) -> DoubleResidualParams:
+    """One stage block of the head `cfg` describes.
 
-
-def init_double_residual(
-    rng: CounterRng,
-    channels: int,
-    mid_channels: Optional[int] = None,
-    shortcut_mode: str = SHORTCUT_IDENTITY,
-    weight_norm: bool = False,
-    residual_enabled: bool = True,
-    gn2_scale_init: float = 1.0,
-    shortcut_gain_init: float = 0.5,
-) -> DoubleResidualParams:
-    mid = channels if mid_channels is None else mid_channels
+    gn2 starts at scale cfg.gn2_scale_init. A conv1x1 shortcut, kept only
+    with the double residual, starts at cfg.shortcut_gain_init x identity.
+    """
+    c, mid, wn = cfg.channels, cfg.mid_channels, cfg.weight_norm
     shortcut = None
-    if residual_enabled and shortcut_mode == SHORTCUT_CONV:
-        shortcut = _init_shortcut(channels, shortcut_gain_init, weight_norm)
-    gn2 = init_group_norm(channels)
-    gn2.scale[:] = gn2_scale_init
+    if cfg.double_residual and cfg.shortcut_mode == SHORTCUT_CONV:
+        direction = np.zeros((c, c, 1, 1))
+        direction[np.arange(c), np.arange(c), 0, 0] = cfg.shortcut_gain_init
+        gain = np.full(c, cfg.shortcut_gain_init) if wn else np.ones(c)
+        shortcut = ConvParams(direction, gain, np.zeros(c), wn)
+    gn2 = init_group_norm(c)
+    gn2.scale[:] = cfg.gn2_scale_init
     return DoubleResidualParams(
-        w1=init_conv(rng.split(1), mid, channels, 3, 3, weight_norm),
+        w1=init_conv(rng.split(1), mid, c, 3, 3, wn),
         gn1=init_group_norm(mid),
-        w2=init_conv(rng.split(2), channels, mid, 3, 3, weight_norm),
+        w2=init_conv(rng.split(2), c, mid, 3, 3, wn),
         gn2=gn2,
         shortcut=shortcut,
-        residual_enabled=residual_enabled,
+        residual_enabled=cfg.double_residual,
     )
 
 
-def init_mask_predictor(rng: CounterRng, channels: int, classes: int) -> MaskPredictorParams:
+def init_mask_predictor(rng: CounterRng, cfg: HeadConfig) -> MaskPredictorParams:
+    c = cfg.channels
     return MaskPredictorParams(
-        deconv=init_conv(rng.split(1), channels, channels, 2, 2),
-        proj=init_conv(rng.split(2), classes, channels, 1, 1),
+        deconv=init_conv(rng.split(1), c, c, 2, 2),
+        proj=init_conv(rng.split(2), cfg.predictor_classes, c, 1, 1),
     )
 
 
 def init_head(rng: CounterRng, cfg: HeadConfig) -> HeadParams:
-    stages = [
-        init_double_residual(
-            rng.split(i),
-            cfg.channels,
-            cfg.mid_channels,
-            cfg.shortcut_mode,
-            cfg.weight_norm,
-            cfg.double_residual,
-            cfg.gn2_scale_init,
-            cfg.shortcut_gain_init,
-        )
-        for i in range(cfg.num_stages)
-    ]
-    return HeadParams(stages, init_mask_predictor(rng.split(10_000), cfg.channels, cfg.predictor_classes))
+    stages = [init_double_residual(rng.split(i), cfg) for i in range(cfg.num_stages)]
+    return HeadParams(stages, init_mask_predictor(rng.split(10_000), cfg))
 
 
 # ---------------------------------------------------------------------------

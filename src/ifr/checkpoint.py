@@ -13,7 +13,7 @@ import typing
 
 import numpy as np
 
-from .blocks import SHORTCUT_MODES, STRATEGIES, HeadConfig, HeadParams, init_head
+from .blocks import SHORTCUT_MODES, STRATEGIES, HeadConfig, HeadParams, count_parameters, init_head
 from .data import EntryMismatchError, load_container, save_container
 from .rng import CounterRng
 
@@ -70,9 +70,16 @@ def save_checkpoint(path, cfg: HeadConfig, params: HeadParams) -> None:
 
 def load_checkpoint(path) -> tuple[HeadConfig, HeadParams]:
     """The head a checkpoint describes; an entry that is neither a HeadConfig
-    field nor a leaf of that head is an EntryMismatchError."""
+    field nor a leaf of that head is an EntryMismatchError, and so is a config
+    whose head needs more values than the file stores, before it is built."""
     tensors = load_container(path)
     cfg = _read_config(tensors)
+    needed = count_parameters(cfg)
+    stored = sum(arr.size for key, arr in tensors.items() if key.startswith("param/"))
+    if needed > stored:
+        raise EntryMismatchError(
+            f"checkpoint head config needs {needed} parameter values, the file stores {stored}"
+        )
     params = init_head(CounterRng(0), cfg)
     known = {f"config/{f.name}" for f in dataclasses.fields(HeadConfig)}
     known.update(f"param/{name}" for name, _ in params.leaf_items())

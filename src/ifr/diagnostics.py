@@ -37,8 +37,12 @@ class ConvergenceReport:
     spectral_radius_estimates: list[float]
     # the last finite iterate: h after len(norm_diff_trace) applications of F
     endpoint: np.ndarray
-    diverged: bool = False
+    # why the trace ended early; empty when it ran every step
     note: str = ""
+
+    @property
+    def diverged(self) -> bool:
+        return bool(self.note)
 
 
 def unroll_convergence(
@@ -81,7 +85,6 @@ def unroll_convergence(
         norm_diff_trace=trace,
         spectral_radius_estimates=radius_estimates,
         endpoint=h,
-        diverged=bool(note),
         note=note,
     )
 

@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
+    IMPLICIT,
     SHORTCUT_CONV,
     DoubleResidualParams,
+    HeadConfig,
     init_double_residual,
     unrolled_shared_vjp,
 )
@@ -69,15 +71,9 @@ def contractive_block(seed: int, channels: int = 8) -> DoubleResidualParams:
     rng = CounterRng(seed)
     gn2_scale = 0.1 + 0.15 * rng.uniform()
     shortcut_gain = 0.2 + 0.2 * rng.uniform()
-    return init_double_residual(
-        rng.split(1),
-        channels,
-        channels,
-        shortcut_mode=SHORTCUT_CONV,
-        weight_norm=True,
-        gn2_scale_init=gn2_scale,
-        shortcut_gain_init=shortcut_gain,
-    )
+    cfg = HeadConfig(IMPLICIT, 1, channels=channels, shortcut_mode=SHORTCUT_CONV,
+                     weight_norm=True, gn2_scale_init=gn2_scale, shortcut_gain_init=shortcut_gain)
+    return init_double_residual(rng.split(1), cfg)
 
 
 @dataclass

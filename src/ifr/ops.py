@@ -48,8 +48,11 @@ def as_tensor(values) -> np.ndarray:
 
 
 def check_finite(x: np.ndarray, what: str = "input") -> None:
-    # a single sum is finite iff every entry is (inf - inf gives nan)
-    if not np.isfinite(x.sum()):
+    # one sum is finite only if every entry is (inf - inf gives nan); a sum
+    # that overflows on finite entries is cleared entry by entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum()
+    if not np.isfinite(total) and not np.isfinite(x).all():
         raise NonFiniteError(f"{what} contains non-finite values")
 
 

@@ -9,13 +9,19 @@ import numpy as np
 import pytest
 
 from ifr import data, solver, training
-from ifr.blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig
+from ifr.blocks import EXPLICIT, IMPLICIT, UNROLLED, HeadConfig, init_mask_predictor
 from ifr.gradcheck import contractive_block
 from ifr.rng import CounterRng
 
 
 def rand(seed: int, shape):
     return CounterRng(seed).normal(shape)
+
+
+def init_predictor(seed: int, channels: int, classes: int):
+    """The predictor tail of a head with `channels` channels and `classes` classes."""
+    cfg = HeadConfig(EXPLICIT, 0, channels=channels, predictor_classes=classes)
+    return init_mask_predictor(CounterRng(seed), cfg)
 
 
 def max_rel(a, b) -> float:

@@ -18,7 +18,6 @@ from ifr.blocks import (
     double_residual_forward,
     init_double_residual,
     init_head,
-    init_mask_predictor,
     mask_predictor_forward,
     mask_predictor_vjp,
     stacked_head_forward,
@@ -30,7 +29,7 @@ from ifr.ops import ConvParams, GroupNormParams, ShapeError, finite_difference_g
 from ifr.rng import CounterRng
 from ifr.solver import DivergenceError, fixed_point_iterate
 
-from conftest import max_rel, rand
+from conftest import init_predictor, max_rel, rand
 
 
 def zero_block(channels=4, shortcut_conv=False, residual=True) -> DoubleResidualParams:
@@ -43,15 +42,10 @@ def zero_block(channels=4, shortcut_conv=False, residual=True) -> DoubleResidual
 
 
 def small_block(seed=3, channels=4, shortcut_conv=True) -> DoubleResidualParams:
-    return init_double_residual(
-        CounterRng(seed),
-        channels,
-        channels,
-        shortcut_mode="conv1x1" if shortcut_conv else "identity",
-        weight_norm=True,
-        gn2_scale_init=0.5,
-        shortcut_gain_init=0.4,
-    )
+    cfg = HeadConfig(IMPLICIT, 1, channels=channels, weight_norm=True,
+                     shortcut_mode="conv1x1" if shortcut_conv else "identity",
+                     gn2_scale_init=0.5, shortcut_gain_init=0.4)
+    return init_double_residual(CounterRng(seed), cfg)
 
 
 def linear_proxy_block(slope=0.5, offset=0.5) -> DoubleResidualParams:
@@ -252,7 +246,7 @@ def test_decomposition_identity_shortcut_vs_main_path():
 
 
 def test_mask_predictor_zero_params_zero_logits():
-    p = init_mask_predictor(CounterRng(50), 4, 1)
+    p = init_predictor(50, 4, 1)
     p.deconv.direction[:] = 0.0
     p.proj.direction[:] = 0.0
     ops.floor_direction_norms(p.deconv.direction)
@@ -262,7 +256,7 @@ def test_mask_predictor_zero_params_zero_logits():
 
 
 def test_mask_predictor_doubles_spatial_extent():
-    p = init_mask_predictor(CounterRng(52), 8, 3)
+    p = init_predictor(52, 8, 3)
     logits = mask_predictor_forward(p, rand(53, (8, 14, 14)))
     assert logits.shape == (3, 28, 28)
 
@@ -273,7 +267,7 @@ def predictor_vjp(p, h, cot):
 
 
 def test_mask_predictor_vjp_matches_finite_differences():
-    p = init_mask_predictor(CounterRng(54), 4, 2)
+    p = init_predictor(54, 4, 2)
     h = rand(55, (4, 6, 6))
     cot = rand(56, (2, 12, 12))
     dh, grads = predictor_vjp(p, h, cot)
@@ -295,7 +289,7 @@ def test_mask_predictor_vjp_matches_finite_differences():
 
 def layer_entries():
     """Each entry that checks an input map, as a function of a map for a 4-channel layer."""
-    block, predictor = small_block(seed=57), init_mask_predictor(CounterRng(58), 4, 2)
+    block, predictor = small_block(seed=57), init_predictor(58, 4, 2)
     return [
         lambda m: double_residual_forward(block, np.zeros_like(m), m),
         lambda m: blocks.block_forward_tape(block, np.zeros_like(m), m),
@@ -324,11 +318,11 @@ def test_layer_entries_reject_a_non_finite_entry_and_the_wrong_channel_count():
 
 
 def test_a_predictor_record_checks_its_kernel_shapes_when_built():
-    p = init_mask_predictor(CounterRng(63), 4, 2)
+    p = init_predictor(63, 4, 2)
     with pytest.raises(ShapeError, match="2x2 deconv kernel and a 1x1 projection"):
         blocks.MaskPredictorParams(p.proj, p.deconv)
     with pytest.raises(ShapeError, match="deconv's output channels"):
-        blocks.MaskPredictorParams(init_mask_predictor(CounterRng(64), 3, 2).deconv, p.proj)
+        blocks.MaskPredictorParams(init_predictor(64, 3, 2).deconv, p.proj)
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +378,24 @@ def test_count_channel_multiplier_sweep(multiplier, rounded):
 
 
 def test_count_matches_constructed_parameters():
-    for cfg in [
+    small = dict(channels=8, predictor_classes=1, shortcut_mode="conv1x1")
+    cases = [
         coco_cfg(IMPLICIT, 15, 1 / 4),
-        HeadConfig(
-            strategy=EXPLICIT, depth_or_budget=3, channels=8, predictor_classes=1,
-            shortcut_mode="conv1x1", weight_norm=True,
-        ),
-    ]:
-        params = init_head(CounterRng(60), cfg)
-        built = sum(arr.size for _, arr in params.leaf_items())
-        counted = count_parameters(cfg)
-        assert built == counted
+        HeadConfig(EXPLICIT, 3, **small),
+        HeadConfig(EXPLICIT, 0, **small),  # the predictor alone
+        HeadConfig(UNROLLED, 4, **small),
+        HeadConfig(IMPLICIT, 4, double_residual=False, **small),  # no shortcut leaves
+    ]
+    for case in cases:
+        for weight_norm in (False, True):
+            cfg = dataclasses.replace(case, weight_norm=weight_norm)
+            params = init_head(CounterRng(60), cfg)
+            assert len(params.stages) == cfg.num_stages
+            shortcut = [name for name, _ in params.leaf_items() if ".shortcut." in name]
+            assert bool(shortcut) == (cfg.num_stages > 0 and cfg.double_residual
+                                      and cfg.shortcut_mode == "conv1x1"), cfg
+            built = sum(arr.size for _, arr in params.leaf_items())
+            assert built == count_parameters(cfg), cfg
 
 
 def test_count_weight_norm_gains_flag():
@@ -459,7 +460,7 @@ def test_disabled_residual_keeps_a_zero_shortcut_gradient():
 
 
 def test_batched_predictor_forward_and_vjp_match_per_sample():
-    p = init_mask_predictor(CounterRng(44), 4, 2)
+    p = init_predictor(44, 4, 2)
     h = rand(45, (5, 4, 6, 6))
     logits = mask_predictor_forward(p, h)
     assert logits.shape == (5, 2, 12, 12)
@@ -581,7 +582,9 @@ BLOCK_KINDS = {
 def random_block(seed, kind, weight_norm):
     """A 4-channel block with 6 intermediate channels and every leaf drawn at random."""
     mode, residual = BLOCK_KINDS[kind]
-    p = init_double_residual(CounterRng(seed), 4, 6, mode, weight_norm)
+    cfg = HeadConfig(IMPLICIT, 1, channels=4, channel_multiplier=1.5, shortcut_mode=mode,
+                     weight_norm=weight_norm)
+    p = init_double_residual(CounterRng(seed), cfg)
     p = dataclasses.replace(p, residual_enabled=residual)
     for i, (_, arr) in enumerate(p.leaf_items()):
         arr[...] = 0.5 * rand(seed + 100 + i, arr.shape)

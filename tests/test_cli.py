@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifr import cli, diagnostics, gradcheck
+from ifr import checkpoint, cli, diagnostics, gradcheck
 from ifr.blocks import block_apply_factory, init_head
 from ifr.checkpoint import load_checkpoint, save_checkpoint
 from ifr.cli import load_experiment_config, main
@@ -652,6 +652,32 @@ def test_checkpoint_entry_outside_its_head_is_rejected(tmp_path, capsys, edit, n
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("depth_or_budget", 50.0), ("channels", 16.0), ("predictor_classes", 50.0),
+])
+def test_a_checkpoint_config_that_outgrows_its_values_is_rejected_before_building(
+    tmp_path, capsys, monkeypatch, key, value
+):
+    head = load_experiment_config(write_config(
+        tmp_path / "cfg.json", head={"strategy": "explicit-independent", "depth_or_budget": 1}
+    )).head
+    save_checkpoint(tmp_path / "c.ifr", head, init_head(CounterRng(0), head))
+    tensors = {**load_container(tmp_path / "c.ifr"), f"config/{key}": np.array([value])}
+    save_container(tmp_path / "bad.ifr", tensors)
+
+    def no_build(*_args):
+        raise AssertionError("the head was built before its size was checked")
+
+    monkeypatch.setattr(checkpoint, "init_head", no_build)
+    named = r"needs \d+ parameter values, the file stores \d+"
+    with pytest.raises(EntryMismatchError, match=named):
+        load_checkpoint(tmp_path / "bad.ifr")
+    argv = ["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "bad.ifr", "--steps", "5"]
+    assert main(argv) == 3
+    assert re.match("error: checkpoint head config " + named, capsys.readouterr().err)
     assert not (tmp_path / "diagnostics.csv").exists()
 
 

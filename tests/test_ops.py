@@ -2,6 +2,7 @@
 convolution oracle and central finite differences defined at the top."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ifr import ops
 from ifr.blocks import (
     block_forward_tape,
     block_vjp_from_tape,
-    init_mask_predictor,
     mask_predictor_forward,
     mask_predictor_vjp,
 )
@@ -33,7 +33,7 @@ from ifr.ops import (
 )
 from ifr.rng import CounterRng
 
-from conftest import max_rel, rand
+from conftest import init_predictor, max_rel, rand
 from test_blocks import predictor_vjp, random_block, same_bytes
 
 
@@ -278,7 +278,7 @@ def test_default_group_count():
 def test_relu_examples_and_tie_convention():
     # a deconv of all-ones taps and zero bias copies each pixel into its 2x2 block,
     # and the 1x1 projection passes the ReLU's output through as the logits
-    p = init_mask_predictor(CounterRng(72), 1, 1)
+    p = init_predictor(72, 1, 1)
     p.deconv.direction[:], p.deconv.bias[:] = 1.0, 0.0
     p.proj.direction[:], p.proj.bias[:] = 1.0, 0.0
     h = np.array([[[-1.0, 0.0, 2.0]]])
@@ -381,7 +381,7 @@ def test_relu_adjoints_pass_nothing_at_a_tie_and_close_with_positive_zero(monkey
     d_a1 = seen["conv2d_adjoint"][0][0]
     d_g1 = seen["group_norm_input_vjp"][1][3]
     # predictor: all-ones taps copy h into 2x2 blocks, so a ties at 0 where h is 0
-    q = init_mask_predictor(CounterRng(95), 1, 1)
+    q = init_predictor(95, 1, 1)
     q.deconv.direction[:], q.deconv.bias[:] = 1.0, 0.0
     h = np.array([[[-1.0, 0.0, 2.0, 0.0, -3.0]]])
     _, a = mask_predictor_forward(q, h, keep_tape=True)
@@ -411,6 +411,19 @@ def test_1x1_identity_mixing_preserves_input():
 
 # ---------------------------------------------------------------------------
 # finite differences
+
+
+def test_check_maps_passes_a_finite_map_whose_sum_overflows():
+    # 8*14*14 entries of 1e306 sum past the float64 range, yet every entry is finite
+    big = np.full((8, 14, 14), 1e306)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ops.check_maps(big, "block input")
+        for bad in (np.nan, np.inf, -np.inf):
+            x = big.copy()
+            x[3, 2, 1] = bad
+            with pytest.raises(NonFiniteError, match="^block input contains non-finite values"):
+                ops.check_maps(x, "block input")
 
 
 def test_finite_difference_grad_quadratic():
@@ -453,7 +466,7 @@ def test_vjp_consistency_suite(op_seed):
     p3 = plain_conv(3, 2, 3, seed=100 + op_seed, weight_norm=op_seed % 2 == 0)
     gn = GroupNormParams(2, rand(110 + op_seed, (4,)) * 0.4 + 1.0, rand(111 + op_seed, (4,)) * 0.2)
     gn_x = rand(112 + op_seed, (4, 4, 4))
-    predictor = init_mask_predictor(CounterRng(113 + op_seed), 3, 2)
+    predictor = init_predictor(113 + op_seed, 3, 2)
     block, block_x = contractive_block(114 + op_seed, channels=4), rand(115 + op_seed, (4, 5, 5))
 
     def gn_affine(theta):  # group norm of gn_x as a function of its (scale, shift) rows
