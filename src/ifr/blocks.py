@@ -286,18 +286,18 @@ class _PreparedBlock(DoubleResidualParams):
                        for gn in (self.gn1, self.gn2)]
 
     def __call__(self, h: np.ndarray, x: np.ndarray, keep_tape: bool = False):
-        """F(h; x), unchecked; (F, tape) if keep_tape."""
+        """F(h; x), unchecked; (F, tape) if keep_tape. Each group norm normalizes the
+        conv output in place, and each affine writes over the normalized array that no
+        tape keeps."""
         conv1, conv2, shortcut = self.convs
         (scale1, shift1), (scale2, shift2) = self.affine
         r = h + x
-        c1 = conv1(r)
-        xhat1, inv_std1 = ops.group_stats(c1, self.gn1)
-        a1 = xhat1 * scale1
+        xhat1, inv_std1 = ops.group_stats(conv1(r), self.gn1)
+        a1 = np.multiply(xhat1, scale1, out=None if keep_tape else xhat1)
         a1 += shift1
         np.maximum(a1, 0.0, out=a1)
-        c2 = conv2(a1)
-        xhat2, inv_std2 = ops.group_stats(c2, self.gn2)
-        out = xhat2 * scale2
+        xhat2, inv_std2 = ops.group_stats(conv2(a1), self.gn2)
+        out = np.multiply(xhat2, scale2, out=None if keep_tape else xhat2)
         out += shift2
         if self.residual_enabled:
             out += r if shortcut is None else shortcut(r)

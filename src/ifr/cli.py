@@ -504,6 +504,9 @@ def main(argv=None) -> int:
     except (TrainingAbortedError, DivergenceError, NonFiniteError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -75,7 +75,9 @@ def ifr_forward(
     """
     block = prepare_block(p)
     apply = block_apply_factory(block, x)
-    result = broyden_solve(lambda h: apply(h[0])[None] - h, np.zeros((1,) + x.shape), cfg)
+    # F(h) - h, written into the new array F(h)
+    result = broyden_solve(lambda h: np.subtract(f := apply(h[0])[None], h, out=f),
+                           np.zeros((1,) + x.shape), cfg)
     return IfrForwardRecord(result.root[0], x, result, block)
 
 
@@ -106,7 +108,9 @@ def ifr_backward(
         # affine in a, so it is u at a = 0: the zero start costs no J^T apply
         if not a.any():
             return u
-        return u + block_vjp_from_tape(p, tape, a, want_params=False)[0] - a
+        # (J^T a + u) - a, in the new array J^T a: addition commutes bit for bit
+        jt_a = block_vjp_from_tape(p, tape, a, want_params=False)[0]
+        return np.subtract(np.add(jt_a, u, out=jt_a), a, out=jt_a)
 
     adjoint = broyden_solve(adjoint_residual, np.zeros_like(u), cfg)
     d_r, grads = block_vjp_from_tape(p, tape, adjoint.root, want_params=True)

@@ -9,8 +9,10 @@ the batch, so a parameter gradient sums over the batch inside that GEMM; a
 conv is prepared once (`ConvGemm`) for inputs of any shape, and its kernel
 gradient is read from the im2col columns of its output cotangent, which
 its input adjoint builds anyway. Group-norm statistics are per sample.
-Every operation here is pure and has an exact hand-derived adjoint, so
-block- and head-level backward passes compose without an autodiff tape. A
+Every operation here is pure but `group_stats`, which normalizes the fresh
+conv output it is given in place, and each has an exact hand-derived
+adjoint, so block- and head-level backward passes compose without an
+autodiff tape. A
 VJP returns the adjoint of its input and, for an op with parameters, a
 `Grads`: the ordered leaf-name -> array mapping of the record's
 `leaf_items()`, summed over the batch.
@@ -249,6 +251,8 @@ def _kernel_size(kernel: np.ndarray) -> int:
 def _from_channel_rows(rows: np.ndarray, lead: tuple, h: int, w: int) -> np.ndarray:
     """Inverse of channel_rows: (C, N*h*w) GEMM output to a (..., C, h, w) map."""
     c = rows.shape[0]
+    if rows.shape[1] == h * w:  # the rows of one map are that map already
+        return rows.reshape(lead + (c, h, w))
     out = rows.reshape(c, -1, h, w).transpose(1, 0, 2, 3)
     return np.ascontiguousarray(out).reshape(lead + (c, h, w))
 
@@ -260,15 +264,17 @@ class ConvGemm:
     a new array.
 
     A k x k kernel pads into a zero-bordered buffer; from the second call on an
-    input shape it keeps one for that shape and overwrites its interior. A 1x1
-    kernel's GEMM runs on the channel rows, with no pad and no window.
+    input shape it keeps one for that shape (looked up by shape unless it was the last
+    kept) and overwrites its interior. A 1x1 kernel's GEMM runs on the channel rows,
+    with no pad and no window; a one-column kernel's GEMM is an outer product.
     """
 
     def __init__(self, kernel: np.ndarray, bias: np.ndarray | None):
         self.kernel, self.matrix = kernel, kernel.reshape(kernel.shape[0], -1)
         self.bias = None if bias is None else bias[:, None]
+        self.product = np.multiply if self.matrix.shape[1] == 1 else np.matmul
         # input shape -> (interior, windows) of its kept pad, None while seen once
-        self.k, self.pads = _kernel_size(kernel), {}
+        self.k, self.pads, self.last = _kernel_size(kernel), {}, (None, None)
 
     def _pad(self, shape: tuple):
         """A zeroed buffer's interior, and its (in, k, k, N, H, W) im2col window view."""
@@ -284,15 +290,18 @@ class ConvGemm:
         """(in*k*k, N*H*W) im2col GEMM operand of x; for a 1x1 kernel, x's channel rows."""
         if self.k == 1:
             return channel_rows(x)
-        interior, windows = self.pads.get(x.shape) or self._pad(x.shape)
-        self.pads[x.shape] = (interior, windows) if x.shape in self.pads else None
+        shape, pad = self.last
+        if x.shape != shape:
+            pad = self.pads.get(x.shape) or self._pad(x.shape)
+            self.pads[x.shape] = pad if x.shape in self.pads else None
+            self.last = (x.shape, pad) if self.pads[x.shape] else self.last
+        interior, windows = pad
         interior[...] = as_batch(x)
         return windows.reshape(self.matrix.shape[1], -1)
 
     def gemm(self, columns: np.ndarray) -> np.ndarray:
-        """(out, N*H*W) product of the kernel with im2col columns, plus the bias.
-        A one-column kernel is an outer product, each entry one exact multiply."""
-        out = self.matrix * columns if self.matrix.shape[1] == 1 else self.matrix @ columns
+        """(out, N*H*W) product of the kernel with im2col columns, plus the bias."""
+        out = self.product(self.matrix, columns)
         if self.bias is not None:
             out += self.bias
         return out
@@ -395,15 +404,16 @@ def deconv2x2_vjp(x: np.ndarray, p: ConvParams, cotangent: np.ndarray):
 
 
 def group_stats(x: np.ndarray, p: GroupNormParams):
-    """(xhat, inv_std): statistics per sample and group, inv_std shaped (..., groups)."""
+    """(xhat, inv_std) per sample and group, inv_std shaped (..., groups); xhat is x,
+    normalized in place, so x must be a C-contiguous array that is not read again."""
     grouped = x.reshape(x.shape[:-3] + (p.num_groups, -1))
     k = grouped.shape[-1]
     # np.add.reduce / k is what ndarray.mean computes, without its Python wrapper
-    centered = grouped - np.add.reduce(grouped, axis=-1, keepdims=True) / k
-    var = np.add.reduce(centered * centered, axis=-1) / k
+    grouped -= np.add.reduce(grouped, axis=-1, keepdims=True) / k
+    var = np.add.reduce(grouped * grouped, axis=-1) / k
     inv_std = 1.0 / np.sqrt(var + GROUP_NORM_EPSILON)
-    xhat = (centered * inv_std[..., None]).reshape(x.shape)
-    return xhat, inv_std
+    grouped *= inv_std[..., None]
+    return x, inv_std
 
 
 def group_norm_input_vjp(
@@ -416,8 +426,10 @@ def group_norm_input_vjp(
     k = xhat_g.shape[-1]
     mean_d = np.add.reduce(d_xhat, axis=-1, keepdims=True) / k
     mean_dx = np.add.reduce(d_xhat * xhat_g, axis=-1, keepdims=True) / k
-    dx = inv_std[..., None] * (d_xhat - mean_d - xhat_g * mean_dx)
-    return dx.reshape(xhat.shape)
+    d_xhat -= mean_d  # inv_std * (d_xhat - mean_d - xhat_g * mean_dx), in place
+    d_xhat -= xhat_g * mean_dx
+    d_xhat *= inv_std[..., None]
+    return d_xhat.reshape(xhat.shape)
 
 
 def group_norm_param_grads(xhat: np.ndarray, cotangent: np.ndarray) -> Grads:

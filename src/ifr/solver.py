@@ -3,8 +3,8 @@
 The workhorse is a "good Broyden" iteration: the inverse Jacobian estimate
 starts at -I and accumulates rank-one corrections, kept as (u, v) pair
 history so no dense matrix is ever formed. The history holds one pair for
-each step of the budget but the last, whose residual starts no further step,
-so no pair is ever evicted. With the -I seed the first
+each update, so no pair is ever evicted; its buffers grow with the updates
+(at most one per step of the budget but the last). With the -I seed the first
 step is x1 = x0 + g(x0), i.e. a plain fixed-point step when
 g(h) = F(h) - h. Every solve is of N independent problems stacked on a
 leading axis, each with its own history (one row of an (N, m, d) stack),
@@ -28,6 +28,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 _REL_EPS = 1e-9
+HISTORY_START = 64  # history slots a solve starts with, doubled as updates fill them
 DIVERGENCE_FACTOR = 1e3
 RUNAWAY_FACTOR = 1e6
 
@@ -140,7 +141,7 @@ def broyden_solve(
     # B w = -w + U^T (V w). A step that updates any problem fills slot k of
     # every problem, with a zero pair for the problems that skip it. Steps
     # 1..max_iters-1 can update, and slot k is written before it is read.
-    u_rows = np.empty((n, cfg.max_iters - 1, x.shape[1]))
+    u_rows = np.empty((n, min(cfg.max_iters - 1, HISTORY_START), x.shape[1]))
     v_rows = np.empty_like(u_rows)
     k = 0
 
@@ -222,6 +223,10 @@ def broyden_solve(
             if dg_norm[i] > 1e-12 * (g_norm[i] + dg_norm[i]) and abs(den[i]) > 1e-30
         }
         if update:
+            if k == u_rows.shape[1]:  # double the slots, up to max_iters-1
+                grown = np.empty((2, n, min(2 * k, cfg.max_iters - 1), x.shape[1]))
+                grown[0, :, :k], grown[1, :, :k] = u_rows, v_rows
+                u_rows, v_rows = grown
             # per problem: the factor that makes u from B g+, and the one that makes B+ g+
             coef = np.array([(-1.0 / den[i], -dx_sq[i] / den[i]) if i in update else (0.0, 1.0)
                              for i in range(n)])

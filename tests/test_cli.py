@@ -681,6 +681,28 @@ def test_a_checkpoint_config_that_outgrows_its_values_is_rejected_before_buildin
     assert not (tmp_path / "diagnostics.csv").exists()
 
 
+def test_diagnose_on_a_checkpoint_relabelled_to_a_huge_budget(tmp_path):
+    """A budget adds no parameters, so a checkpoint relabelled to budget 1e6 loads; its
+    solves converge in a few steps and hold only the history those steps fill."""
+    head = load_experiment_config(write_config(tmp_path / "cfg.json")).head
+    save_checkpoint(tmp_path / "c.ifr", head, init_head(CounterRng(0), head))
+    tensors = {**load_container(tmp_path / "c.ifr"), "config/depth_or_budget": np.array([1e6])}
+    save_container(tmp_path / "big.ifr", tensors)
+    assert main(["--output-dir", str(tmp_path), "diagnose", "--checkpoint", "big.ifr",
+                 "--steps", "5", "--inputs", "1", "--out", "diag.csv"]) == 0
+    _, rows = read_csv(tmp_path / "diag.csv")
+    assert [r[1] for r in rows].count("implicit_gap") == 1
+
+
+def test_running_out_of_memory_is_a_runtime_error(capsys, monkeypatch):
+    def out_of_memory(_args):
+        raise MemoryError("Unable to allocate 11.7 GiB")
+
+    monkeypatch.setattr(cli, "cmd_param_count", out_of_memory)
+    assert main(["param-count", "--profile", "toy", "--strategy", "implicit-broyden:15"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 11.7 GiB\n"
+
+
 def test_grad_check_ok_and_negative_control(capsys):
     assert main(["grad-check", "--trials", "2"]) == 0
     out = capsys.readouterr().out

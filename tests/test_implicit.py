@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ifr import gradcheck, implicit
+from ifr import blocks, gradcheck, implicit
 from ifr.blocks import block_apply_factory, unrolled_shared_vjp
 from ifr.gradcheck import (
     check_block_gradients,
@@ -24,10 +24,34 @@ from ifr.rng import CounterRng
 from ifr.solver import SolverConfig, broyden_solve, fixed_point_iterate
 
 from conftest import rand
-from test_blocks import linear_proxy_block, zero_block
+from test_blocks import BLOCK_KINDS, linear_proxy_block, random_block, same_bytes, zero_block
 
 
 TIGHT = SolverConfig(max_iters=40, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(BLOCK_KINDS))
+@pytest.mark.parametrize("shape", [(4, 6, 6), (3, 4, 6, 6)])
+def test_every_array_passed_in_keeps_its_bytes(kind, shape):
+    """The block map with and without a tape, both block VJPs, ifr_forward and
+    ifr_backward write only into arrays they allocate: h, x, each cotangent, the
+    upstream and every array of a tape keep their bytes."""
+    p = random_block(110, kind, weight_norm=True)
+    h, x, cot, upstream = (rand(seed, shape) for seed in (111, 112, 113, 114))
+    passed = [h, x, cot, upstream]
+    copies = [arr.copy() for arr in passed]
+    blocks.block_apply_factory(p, x)(h)
+    _, tape = blocks.block_forward_tape(p, h, x)
+    taped = [tape.r, tape.xhat1, tape.inv_std1, tape.a1, tape.mask1, tape.xhat2, tape.inv_std2]
+    taped_copies = [arr.copy() for arr in taped]
+    for want_params in (False, True):
+        blocks.block_vjp_from_tape(p, tape, cot, want_params)
+    rec = ifr_forward(p, x, SolverConfig(max_iters=6))
+    solved = [rec.equilibrium, rec.input]
+    solved_copies = [arr.copy() for arr in solved]
+    ifr_backward(rec, upstream, SolverConfig(max_iters=6))
+    for arr, copy in zip(passed + taped + solved, copies + taped_copies + solved_copies):
+        assert same_bytes(arr, copy)
 
 
 def test_zero_parameter_block_has_no_root_for_nonzero_input():

@@ -78,14 +78,15 @@ def plain_conv(out_c, in_c, k, seed, weight_norm=False):
 
 
 def gn_apply(x, p):
-    """Group norm as the block runs it: group_stats, then the per-channel affine."""
-    xhat, _ = group_stats(x, p)
+    """Group norm as the block runs it: group_stats, then the per-channel affine. It
+    normalizes a copy of x, which group_stats overwrites."""
+    xhat, _ = group_stats(x.copy(), p)
     return xhat * p.scale[:, None, None] + p.shift[:, None, None]
 
 
 def gn_vjp(x, p, cot):
     """(dx, scale and shift gradients) from the two adjoint halves the block runs."""
-    xhat, inv_std = group_stats(x, p)
+    xhat, inv_std = group_stats(x.copy(), p)
     return group_norm_input_vjp(xhat, inv_std, p, cot), group_norm_param_grads(xhat, cot)
 
 
@@ -240,6 +241,22 @@ def test_group_norm_statistics_oracle():
     assert np.abs(grouped_out.mean(axis=1)).max() < 1e-10
     expected_var = v / (v + ops.GROUP_NORM_EPSILON)
     assert np.abs(grouped_out.var(axis=1) - expected_var).max() < 1e-8
+
+
+@pytest.mark.parametrize("shape", [(6, 5, 5), (3, 6, 5, 5)])
+def test_group_stats_normalizes_its_argument_in_place(shape):
+    """group_stats returns the array it is given, normalized to the bytes of the
+    out-of-place formula: centre, then scale by 1 / sqrt(var + epsilon)."""
+    x = rand(66, shape)
+    p = GroupNormParams(3, np.ones(6), np.zeros(6))
+    grouped = x.reshape(shape[:-3] + (3, -1))
+    centered = grouped - np.add.reduce(grouped, axis=-1, keepdims=True) / grouped.shape[-1]
+    var = np.add.reduce(centered * centered, axis=-1) / grouped.shape[-1]
+    inv_std = 1.0 / np.sqrt(var + ops.GROUP_NORM_EPSILON)
+    expected = (centered * inv_std[..., None]).reshape(shape)
+    xhat, got_inv_std = group_stats(x, p)
+    assert xhat is x
+    assert same_bytes(xhat, expected) and same_bytes(got_inv_std, inv_std)
 
 
 def test_group_norm_rejects_indivisible_groups():

@@ -1,11 +1,13 @@
 """Broyden solver and fixed-point iterator against closed forms and the
 long fixed-point oracle."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ifr import solver
 from ifr.rng import CounterRng
 from ifr.solver import (
     DivergenceError,
@@ -349,3 +351,43 @@ def test_a_stack_takes_the_iterates_of_dense_good_broyden():
         for later in seen[len(oracle):]:
             assert np.array_equal(later[i], seen[len(oracle) - 1][i])
     assert len(_dense_good_broyden(maps[2], x0[2], cfg, cfg.max_iters)) == 3
+
+
+def _same_solve(a, b) -> bool:
+    return a.root.tobytes() == b.root.tobytes() and a.problems == b.problems
+
+
+def test_a_huge_budget_allocates_for_the_updates_it_makes():
+    """A converging solve at budget 1e5 holds only the history its updates fill; the
+    whole-budget history alone would be 2 x 1e5 x 16 x 8 B = 25.6 MB."""
+    rng = CounterRng(2401)
+    a, b = rng.normal((16, 16)) * (0.5 / 4.0), rng.normal((16,))
+
+    def residual(v):
+        return v @ a.T + b - v
+
+    tracemalloc.start()
+    try:
+        huge = broyden_solve(residual, np.zeros((1, 16)), SolverConfig(10**5, 1e-10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert huge.problems[0].status is SolveStatus.CONVERGED
+    assert peak < 1_000_000
+    assert _same_solve(huge, broyden_solve(residual, np.zeros((1, 16)), SolverConfig(100, 1e-10)))
+
+
+def test_growing_the_history_keeps_every_byte(monkeypatch):
+    """An ill-conditioned 200-dim linear stack of two problems makes more than 64
+    updates. Its solve is the same bytes with the history allocated whole up front,
+    as shipped (doubling from 64 slots) and doubling from one slot."""
+    rng = CounterRng(2402)
+    q, _ = np.linalg.qr(rng.normal((200, 200)))
+    a, b = (q * np.logspace(-3, 0, 200)) @ q.T, rng.normal((2, 200))
+    cfg = SolverConfig(max_iters=120, rel_tol=1e-12)
+    solves = []
+    for start in (cfg.max_iters, solver.HISTORY_START, 1):
+        monkeypatch.setattr(solver, "HISTORY_START", start)
+        solves.append(broyden_solve(lambda v: b - v @ a, np.zeros((2, 200)), cfg))
+    assert all(len(p.residual_trace) == 121 for p in solves[0].problems)
+    assert _same_solve(solves[0], solves[1]) and _same_solve(solves[0], solves[2])
