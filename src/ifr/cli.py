@@ -130,10 +130,20 @@ def load_experiment_config(path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return _build(ExperimentConfig, obj)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is a ConfigError, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {key!r} appears twice in one object")
+        obj[key] = value
+    return obj
 
 
 def _resolve(path, output_dir) -> Path:

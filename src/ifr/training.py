@@ -10,9 +10,10 @@ batch, which tapes the same snapshot and whose adjoint is one batched solve;
 the explicit and unrolled strategies backpropagate through their finite
 computation graphs, and every strategy runs the mask predictor once over
 the batch. `evaluate` prepares each stage once per call. The head's
-gradient is an `ops.Grads` keyed like `HeadParams.leaf_items()`, so SGD,
-clipping and the finite check walk parameters and gradients leaf by leaf in
-the same order.
+gradient and the SGD momentum are `ops.Grads` keyed like
+`HeadParams.leaf_items()`. `sgd_step` checks the gradient's layout against
+the momentum's once, then updates every parameter leaf in one walk over
+parameters, momentum and gradient together.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import blocks
 from .blocks import EXPLICIT, IMPLICIT, HeadConfig, HeadParams
 from .data import Sample, samples_to_tensors
 from .implicit import ifr_backward, ifr_forward, stack_records
-from .ops import Grads, ShapeError, as_batch, floor_direction_norms
+from .ops import Grads, ShapeError, as_batch, effective_kernel, floor_direction_norms
 from .rng import CounterRng
 from .solver import SolverConfig, SolveStats, SolveStatus
 
@@ -92,11 +93,10 @@ class TrainConfig:
 @dataclass
 class TrainState:
     params: HeadParams
-    momentum: dict[str, np.ndarray]
+    momentum: Grads
     momentum_coef: float
     head_cfg: HeadConfig
     solver_cfg: SolverConfig
-    iteration: int = 0
     loss_history: list[float] = field(default_factory=list)
     skipped_steps: int = 0
 
@@ -167,68 +167,48 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
 # SGD
 
 
-def apply_sgd(
-    param_items: list[tuple[str, np.ndarray]],
-    grad_items: list[tuple[str, np.ndarray]],
-    buffers: dict[str, np.ndarray],
-    momentum_coef: float,
-    lr: float,
-) -> None:
-    """In-place classical momentum update: buf = m*buf + g; p -= lr*buf."""
-    if len(param_items) != len(grad_items):
-        raise ShapeError(
-            f"{len(grad_items)} gradient leaves for {len(param_items)} parameter leaves"
-        )
-    for (name, param), (gname, grad) in zip(param_items, grad_items):
-        if name != gname or param.shape != grad.shape:
-            raise ShapeError(f"gradient leaf {gname!r} does not match parameter {name!r}")
-        buf = buffers.get(name)
-        if buf is None:
-            buf = buffers[name] = np.zeros_like(param)
-        buf *= momentum_coef
-        buf += grad
-        param -= lr * buf
-
-
-def grads_finite(grads) -> bool:
-    return all(np.all(np.isfinite(arr)) for _, arr in grads.leaf_items())
-
-
-def clip_global_norm(grads, max_norm: float) -> float:
+def clip_global_norm(grads: Grads, max_norm: float) -> float:
     total = 0.0
-    for _, arr in grads.leaf_items():
+    for arr in grads.values():
         total += float(np.sum(arr * arr))
     norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
-        for _, arr in grads.leaf_items():
+        for arr in grads.values():
             arr *= factor
     return norm
 
 
+def _layout(grads: Grads) -> list[tuple[str, tuple[int, ...]]]:
+    return [(name, arr.shape) for name, arr in grads.items()]
+
+
 def sgd_step(state: TrainState, grads: Grads, lr: float) -> TrainState:
-    """One momentum-SGD update; skips (and counts) non-finite gradients."""
-    if not grads_finite(grads):
+    """One classical momentum update in one walk over the leaves: buf = m*buf + g;
+    p -= lr*buf, each direction leaf floored as it is updated; then the caps.
+
+    A gradient whose leaves are not the momentum's raises ShapeError before
+    anything is written. A non-finite gradient skips the step and is counted.
+    """
+    if _layout(grads) != _layout(state.momentum):
+        raise ShapeError(f"gradient leaves {_layout(grads)} do not match the parameters' "
+                         f"{_layout(state.momentum)}")
+    if not all(np.isfinite(arr).all() for arr in grads.values()):
         state.skipped_steps += 1
         return state
-    apply_sgd(
-        list(state.params.leaf_items()),
-        list(grads.leaf_items()),
-        state.momentum,
-        state.momentum_coef,
-        lr,
-    )
-    for name, leaf in state.params.leaf_items():
+    walk = zip(state.params.leaf_items(), state.momentum.values(), grads.values())
+    for (name, param), buf, grad in walk:
+        buf *= state.momentum_coef
+        buf += grad
+        param -= lr * buf
         if name.endswith("direction"):
-            floor_direction_norms(leaf)
+            floor_direction_norms(param)
     apply_stability_caps(state.params, state.head_cfg)
     return state
 
 
 def apply_stability_caps(params: HeadParams, cfg: HeadConfig) -> None:
     """Clamp the contraction-controlling magnitudes configured on the head."""
-    from .ops import effective_kernel
-
     for stage in params.stages:
         if cfg.gn2_scale_cap is not None:
             np.clip(stage.gn2.scale, -cfg.gn2_scale_cap, cfg.gn2_scale_cap,
@@ -326,7 +306,7 @@ def init_train_state(
     params = blocks.init_head(rng, head_cfg)
     return TrainState(
         params=params,
-        momentum={},
+        momentum=Grads.zeros_like(params),
         momentum_coef=train_cfg.momentum,
         head_cfg=head_cfg,
         solver_cfg=solver_config_for(head_cfg, solver_cfg),
@@ -382,6 +362,8 @@ def train(
     Issues one OffEquilibriumWarning per run if any forward or adjoint solve
     of a training sample stopped unconverged.
     """
+    if log_every < 1:
+        raise ValueError(f"log_every must be >= 1, got {log_every}")
     check_dataset(dataset, head_cfg)
     n_holdout = max(1, int(round(len(dataset) * _HOLDOUT_FRACTION)))
     n_train = len(dataset) - n_holdout
@@ -414,7 +396,6 @@ def train(
             arr /= train_cfg.batch_size
         clip_global_norm(grads, GRAD_CLIP_NORM)
         sgd_step(state, grads, lr)
-        state.iteration = it + 1
         state.loss_history.append(batch_loss)
         window_losses.append(batch_loss)
 

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -240,6 +241,43 @@ def test_readme_example_config_loads(tmp_path):
     (tmp_path / "cfg.json").write_text(example, encoding="utf-8")
     cfg = load_experiment_config(tmp_path / "cfg.json")
     assert (cfg.data.count, cfg.train.decay_points) == (320, (800, 1000))
+
+
+def readme_commands() -> list[str]:
+    """Every `ifr` command line of the README's bash blocks, continuations joined."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = []
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("ifr "):
+                lines.append(line)
+    return lines
+
+
+def test_every_readme_ifr_command_parses():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    for line in commands:
+        try:
+            args = cli.build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert callable(args.func), line
+
+
+@pytest.mark.parametrize("old,new,key", [
+    ('"rel_tol": 1e-06', '"rel_tol": 1e-06, "rel_tol": 0.5', "rel_tol"),
+    ('"strategy": "implicit-broyden"',
+     '"strategy": "implicit-broyden", "strategy": "explicit-independent"', "strategy"),
+], ids=["solver.rel_tol", "head.strategy"])
+def test_a_key_given_twice_is_config_error(tmp_path, capsys, old, new, key):
+    cfg = write_config(tmp_path / "cfg.json")
+    text = cfg.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    cfg.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: config key {key!r} appears twice in one object\n"
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -17,7 +17,6 @@ from ifr.training import (
     OffEquilibriumWarning,
     TrainConfig,
     TrainingAbortedError,
-    apply_sgd,
     bce_mask_loss,
     evaluate,
     init_train_state,
@@ -122,6 +121,16 @@ def test_a_bad_holdout_mask_stops_train_before_its_first_step(grid_dataset, monk
         train(grid_head(EXPLICIT, 1), cfg, samples, GRID_SOLVER, log_every=2)
 
 
+@pytest.mark.parametrize("log_every", [0, -1])
+def test_train_rejects_a_log_interval_below_one_before_any_work(grid_dataset, monkeypatch,
+                                                                 log_every):
+    monkeypatch.setattr(training, "check_dataset", lambda *a: pytest.fail("work began"))
+    monkeypatch.setattr(training, "sample_loss_and_grads", lambda *a: pytest.fail("work began"))
+    cfg = grid_train_cfg(total_iters=4, decay_points=(), warmup_iters=0)
+    with pytest.raises(ValueError, match=f"log_every must be >= 1, got {log_every}"):
+        train(grid_head(EXPLICIT, 1), cfg, grid_dataset[:10], GRID_SOLVER, log_every=log_every)
+
+
 # ---------------------------------------------------------------------------
 # schedule
 
@@ -166,37 +175,82 @@ def test_train_config_validation():
 # sgd
 
 
+def small_state(momentum: float) -> training.TrainState:
+    """A predictor-only head on one channel, every parameter entry 1."""
+    cfg = TrainConfig(momentum=momentum)
+    state = init_train_state(HeadConfig(EXPLICIT, 0, channels=1, predictor_classes=1), cfg)
+    for _, arr in state.params.leaf_items():
+        arr[...] = 1.0
+    return state
+
+
+def filled_grads(state, value: float) -> Grads:
+    grads = Grads.zeros_like(state.params)
+    for arr in grads.values():
+        arr[...] = value
+    return grads
+
+
+def leaf_bytes(record) -> list[tuple[str, bytes]]:
+    return [(name, arr.tobytes()) for name, arr in record.leaf_items()]
+
+
 def test_sgd_zero_gradient_is_noop():
-    params = [("w", np.array([1.0, 2.0]))]
-    grads = [("w", np.zeros(2))]
-    buffers = {}
-    apply_sgd(params, grads, buffers, momentum_coef=0.9, lr=0.1)
-    assert np.array_equal(params[0][1], [1.0, 2.0])
+    state = small_state(0.9)
+    sgd_step(state, filled_grads(state, 0.0), 0.1)
+    assert all(np.all(arr == 1.0) for _, arr in state.params.leaf_items())
 
 
 def test_sgd_single_step_no_momentum():
-    params = [("w", np.array([1.0]))]
-    apply_sgd(params, [("w", np.array([1.0]))], {}, momentum_coef=0.0, lr=0.1)
-    assert abs(params[0][1][0] - 0.9) < 1e-15
+    state = small_state(0.0)
+    sgd_step(state, filled_grads(state, 1.0), 0.1)
+    assert all(np.abs(arr - 0.9).max() < 1e-15 for _, arr in state.params.leaf_items())
 
 
 def test_sgd_two_steps_with_momentum_closed_form():
-    params = [("w", np.array([1.0]))]
-    buffers = {}
+    state = small_state(0.9)
     for _ in range(2):
-        apply_sgd(params, [("w", np.array([1.0]))], buffers, momentum_coef=0.9, lr=0.1)
+        sgd_step(state, filled_grads(state, 1.0), 0.1)
     # buf: 1 then 1.9; decrease 0.1 + 0.19 = 0.29
-    assert abs(params[0][1][0] - 0.71) < 1e-15
+    assert all(np.abs(arr - 0.71).max() < 1e-15 for _, arr in state.params.leaf_items())
 
 
-@pytest.mark.parametrize("n_params,n_grads", [(2, 1), (1, 2)])
-def test_sgd_rejects_gradient_leaves_that_do_not_pair_with_parameters(n_params, n_grads):
-    names = ["a", "b"]
-    params = [(name, np.array([1.0])) for name in names[:n_params]]
-    grads = [(name, np.array([1.0])) for name in names[:n_grads]]
-    with pytest.raises(ShapeError):
-        apply_sgd(params, grads, {}, momentum_coef=0.9, lr=0.1)
-    assert all(arr[0] == 1.0 for _, arr in params)
+@pytest.mark.parametrize("change", ["missing", "extra", "renamed", "reshaped", "reordered"])
+def test_sgd_rejects_gradient_leaves_that_do_not_pair_with_parameters(change):
+    state = small_state(0.9)
+    sgd_step(state, filled_grads(state, 1.0), 0.1)
+    params, momentum = leaf_bytes(state.params), leaf_bytes(state.momentum)
+    items = list(filled_grads(state, 1.0).items())
+    if change == "missing":
+        items = items[:-1]
+    elif change == "extra":
+        items.append(("extra.bias", np.ones(1)))
+    elif change == "renamed":
+        items[0] = ("other", items[0][1])
+    elif change == "reshaped":
+        items[0] = (items[0][0], items[0][1].ravel())
+    else:
+        items.reverse()
+    with pytest.raises(ShapeError, match="do not match"):
+        sgd_step(state, Grads(items), 0.1)
+    assert leaf_bytes(state.params) == params
+    assert leaf_bytes(state.momentum) == momentum
+    assert state.skipped_steps == 0
+
+
+@pytest.mark.parametrize("strategy,depth", [(EXPLICIT, 2), (IMPLICIT, 4)])
+def test_momentum_has_the_leaf_layout_of_the_params(grid_dataset, strategy, depth):
+    state = init_train_state(grid_head(strategy, depth), grid_train_cfg(), GRID_SOLVER)
+    layout = [(name, arr.shape) for name, arr in state.params.leaf_items()]
+    assert isinstance(state.momentum, Grads)
+    assert [(name, arr.shape) for name, arr in state.momentum.items()] == layout
+    assert all(not arr.any() for arr in state.momentum.values())
+    _, grads, _, _ = training.sample_loss_and_grads(
+        state.params, state.head_cfg, state.solver_cfg, training._stack(grid_dataset[:2])
+    )
+    sgd_step(state, grads, 0.1)
+    assert [(name, arr.shape) for name, arr in state.momentum.items()] == layout
+    assert all(np.array_equal(buf, g) for buf, g in zip(state.momentum.values(), grads.values()))
 
 
 @pytest.mark.parametrize("weight_norm", [False, True])
@@ -256,6 +310,7 @@ def test_sgd_step_skips_nonfinite_gradients(grid_dataset):
     assert state.skipped_steps == 1
     for name, arr in state.params.leaf_items():
         assert np.array_equal(arr, before[name])
+    assert all(not buf.any() for buf in state.momentum.values())
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +357,7 @@ def test_train_zero_iterations_returns_initial_state(grid_dataset):
     cfg = grid_train_cfg(total_iters=0, decay_points=(), warmup_iters=0)
     state, metrics = train(grid_head(IMPLICIT, 15), cfg, grid_dataset, solver_cfg=GRID_SOLVER)
     assert metrics == []
-    assert state.iteration == 0
+    assert len(state.loss_history) == 0
     reference = init_train_state(grid_head(IMPLICIT, 15), cfg, GRID_SOLVER)
     for (n1, a1), (n2, a2) in zip(state.params.leaf_items(), reference.params.leaf_items()):
         assert n1 == n2 and np.array_equal(a1, a2)
@@ -314,6 +369,7 @@ def test_train_fixed_seed_is_bit_deterministic(grid_dataset):
     s1, m1 = train(head, cfg, grid_dataset[:40], solver_cfg=GRID_SOLVER, log_every=6)
     s2, m2 = train(head, cfg, grid_dataset[:40], solver_cfg=GRID_SOLVER, log_every=6)
     assert s1.loss_history == s2.loss_history
+    assert len(s1.loss_history) == 12
     assert m1 == m2
 
 
